@@ -25,12 +25,10 @@ import numpy as np
 from .allocator import BudgetSpec, PrefixConfiguration, baseline_config
 from .errors import MismatchError, ValidationError
 from .importance import ImportanceProfile, compute_importance
-from .trace import AttentionTrace, trace_prefix
-from .toymodel import ToyModel, decode, forward_trace
+from .toymodel import ToyModel, decode
+from .trace import ROW_SUM_TOL, AttentionTrace, trace_prefix
 
 MERGE_POLICIES = ("none", "position", "feature")
-
-ROW_SUM_TOL = 1e-6
 
 DEFAULT_PROTECT_DISTANCE = 10
 
@@ -114,15 +112,14 @@ class CacheState:
         ``new_attention[l]`` holds per-head rows over the layer's live
         entries plus the new token itself, each row normalized;
         ``new_kv[l]``, when given, is the ``(key, value)`` pair of shape
-        (H, d) to store. Returns the appended log record.
+        (H, d) to store. Every layer's input is checked before any layer
+        changes, so a rejected step leaves the state untouched. Returns
+        the appended log record.
         """
-        position = self.current_len
-        self.current_len += 1
-        events: list[dict] = []
+        checked = []
         for l in range(self.layers):
-            cache = self.layer_caches[l]
             rows = np.asarray(new_attention[l], dtype=float)
-            expected = len(cache) + 1
+            expected = len(self.layer_caches[l]) + 1
             if rows.ndim != 2 or rows.shape[1] != expected:
                 raise ValidationError(
                     f"attention rows for layer {l} have shape {rows.shape}, "
@@ -135,14 +132,21 @@ class CacheState:
                 raise ValidationError(
                     f"row sum {sums[h]:.6g} at layer {l} head {h} during decode"
                 )
-            received = rows.mean(axis=0)
-            for i, entry in enumerate(cache):
-                entry.importance_acc += received[i]
             key = value = None
             if new_kv is not None:
                 key, value = new_kv[l]
                 key = np.array(key, dtype=float)
                 value = np.array(value, dtype=float)
+            checked.append((rows, key, value))
+
+        position = self.current_len
+        self.current_len += 1
+        events: list[dict] = []
+        for l, (rows, key, value) in enumerate(checked):
+            cache = self.layer_caches[l]
+            received = rows.mean(axis=0)
+            for i, entry in enumerate(cache):
+                entry.importance_acc += received[i]
             cache.append(CacheEntry(position=position, importance_acc=float(received[-1]),
                                     key=key, value=value))
             capacity = self.capacity(l)
@@ -360,31 +364,20 @@ class DisturbanceReport:
 
 def disturbance(
     model: ToyModel,
-    prompt_len: int,
-    decode_len: int,
-    config: PrefixConfiguration,
-    protect_distance: int = DEFAULT_PROTECT_DISTANCE,
-    merge_policy: str = "none",
+    trace: AttentionTrace,
+    reference: tuple[np.ndarray, np.ndarray],
+    state: CacheState,
 ) -> DisturbanceReport:
     """Measure per-layer feature MAE caused by cache compression.
 
-    Runs the toy model twice on a seeded prompt: once with the full
-    cache, once under ``config``, feeding the full run's token choices to
-    both so the error isolates representation drift rather than
-    compounding token divergence.
+    ``trace`` is the prompt's forward trace, ``reference`` the
+    ``(tokens, features)`` of a full-cache ``decode`` from it, and
+    ``state`` a compressed cache prefilled from the same trace. The
+    compressed run is teacher-forced with the reference's token choices,
+    so the error isolates representation drift rather than compounding
+    token divergence. ``state`` advances by the decoded tokens.
     """
-    if decode_len < 1:
-        raise ValueError("decode_len must be at least 1")
-    prompt = np.random.default_rng(model.seed).integers(0, model.vocab, size=prompt_len)
-    if config.seq_len != prompt_len:
-        raise MismatchError(
-            f"configuration covers {config.seq_len} positions, prompt has {prompt_len}"
-        )
-    trace = forward_trace(model, prompt)
-    reference = full_cache_state(trace, protect_distance=protect_distance)
-    tokens, full_features = decode(model, prompt, decode_len, reference)
-    compressed = prefill_compress(trace, config, protect_distance=protect_distance,
-                                  merge_policy=merge_policy)
-    _, test_features = decode(model, prompt, decode_len, compressed, forced_tokens=tokens)
+    tokens, full_features = reference
+    _, test_features = decode(model, trace, len(tokens), state, forced_tokens=tokens)
     mae = np.abs(full_features - test_features).mean(axis=2).T
-    return DisturbanceReport(budget_r=config.budget.r, mae=mae)
+    return DisturbanceReport(budget_r=state.config.budget.r, mae=mae)

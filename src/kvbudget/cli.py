@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -32,6 +33,7 @@ from .allocator import (
 )
 from .cachesim import (
     disturbance,
+    full_cache_state,
     prefill_compress,
     replay_steps,
     retained_info,
@@ -40,7 +42,7 @@ from .errors import BudgetError, KVBudgetError, ParseError, ValidationError
 from .importance import compute_importance, priority_sequence
 from .lorenz import layer_stats
 from .toymodel import ToyModel, decode, forward_trace
-from .trace import load_trace, save_trace, synth_trace, trace_prefix
+from .trace import AttentionTrace, load_trace, save_trace, synth_trace, trace_prefix
 
 
 class UsageError(KVBudgetError):
@@ -106,18 +108,20 @@ def _write_manifest(command: str, args: argparse.Namespace,
     return path
 
 
-def _budget_from_args(args: argparse.Namespace) -> BudgetSpec:
+BUDGET_HELP = "compression ratio, fraction or percentage (0.5 or 50%%)"
+
+
+def _budget_from_args(args: argparse.Namespace, r: float) -> BudgetSpec:
     return BudgetSpec(
-        r=parse_budget(args.budget),
+        r=r,
         delta_tol=args.delta_tol,
         max_steps=args.max_steps,
         min_tokens_per_layer=args.min_per_layer,
     )
 
 
-def _add_budget_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    parser.add_argument("--budget", required=required, default=None,
-                        help="compression ratio, fraction or percentage (0.5 or 50%%)")
+def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
+    """The search and floor settings of a BudgetSpec; the ratio flags differ per command."""
     parser.add_argument("--delta-tol", type=float, default=0.025,
                         help="termination threshold on the budget difference")
     parser.add_argument("--max-steps", type=int, default=32)
@@ -126,10 +130,72 @@ def _add_budget_flags(parser: argparse.ArgumentParser, required: bool = True) ->
                         help="minimum retained tokens per layer")
 
 
-def _plan_for(seq, meta, policy: str, budget: BudgetSpec, sink: int):
-    if policy == "prefixkv":
-        return plan_online(seq, budget)
-    return baseline_config(policy, budget, meta, sink_count=sink if policy == "local" else None)
+def _add_toy_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--toy-seed", type=int, default=None)
+    parser.add_argument("--toy-layers", type=int, default=8)
+    parser.add_argument("--toy-heads", type=int, default=4)
+    parser.add_argument("--toy-dim", type=int, default=64)
+    parser.add_argument("--toy-vocab", type=int, default=256)
+    parser.add_argument("--prompt-len", type=int, default=64)
+
+
+def _prompt_trace(model: ToyModel, prompt_len: int) -> AttentionTrace:
+    """Forward trace of the seeded prompt a toy model is measured on."""
+    prompt = np.random.default_rng(model.seed).integers(0, model.vocab, size=prompt_len)
+    return forward_trace(model, prompt)
+
+
+class _Run:
+    """One simulate/compare input, prepared once and shared by every cell.
+
+    Plans are made on ``prefill`` and compression starts from it. A
+    recorded trace then replays its remaining rows; a toy model (``model``
+    set) decodes on from its prompt's forward trace, which is then both
+    ``trace`` and ``prefill``.
+    """
+
+    def __init__(self, trace: AttentionTrace, prefill_len: int, model: ToyModel | None):
+        self.trace = trace
+        self.prefill = trace_prefix(trace, prefill_len)
+        self.model = model
+
+    @functools.cached_property
+    def seq(self):
+        return priority_sequence(compute_importance(self.prefill))
+
+    def plan(self, policy: str, budget: BudgetSpec, sink: int):
+        if policy == "prefixkv":
+            return plan_online(self.seq, budget)
+        return baseline_config(policy, budget, self.prefill.meta,
+                               sink_count=sink if policy == "local" else None)
+
+    def advance(self, state, steps: int) -> None:
+        if self.model is None:
+            replay_steps(self.trace, state, steps)
+        else:
+            decode(self.model, self.trace, steps, state)
+
+    def reference(self, steps: int, protect: int):
+        """Full-cache toy decode: the ``(tokens, features)`` disturbance compares against."""
+        return decode(self.model, self.trace, steps,
+                      full_cache_state(self.trace, protect_distance=protect))
+
+
+def _trace_run(trace: AttentionTrace, steps: int) -> _Run:
+    """Plan on all but the last ``steps`` positions and replay those."""
+    n0 = trace.meta.seq_len - steps
+    if n0 < 1:
+        raise ValidationError(f"trace of length {trace.meta.seq_len} too short for {steps} steps")
+    return _Run(trace, n0, None)
+
+
+def _toy_runs(args: argparse.Namespace, count: int) -> list[_Run]:
+    runs = []
+    for i in range(count):
+        model = ToyModel(layers=args.toy_layers, heads=args.toy_heads, dim=args.toy_dim,
+                         vocab=args.toy_vocab, seed=args.toy_seed + i)
+        runs.append(_Run(_prompt_trace(model, args.prompt_len), args.prompt_len, model))
+    return runs
 
 
 # --------------------------------------------------------------------------
@@ -153,8 +219,7 @@ def run_synth(args: argparse.Namespace) -> list[str]:
     else:
         model = ToyModel(layers=args.layers, heads=args.heads, dim=args.dim,
                          vocab=args.vocab, seed=args.seed)
-        prompt = np.random.default_rng(args.seed).integers(0, args.vocab, size=args.seq)
-        trace = forward_trace(model, prompt)
+        trace = _prompt_trace(model, args.seq)
     save_trace(trace, args.out)
     outputs = [args.out]
     _write_manifest("synth", args, [], outputs)
@@ -191,7 +256,7 @@ def run_analyze(args: argparse.Namespace) -> list[str]:
 # --------------------------------------------------------------------------
 
 def run_plan(args: argparse.Namespace) -> list[str]:
-    budget = _budget_from_args(args)
+    budget = _budget_from_args(args, parse_budget(args.budget))
     traces = [load_trace(p) for p in args.traces]
     if args.prefill is not None:
         traces = [trace_prefix(t, args.prefill) for t in traces]
@@ -236,65 +301,35 @@ def run_simulate(args: argparse.Namespace) -> list[str]:
         raise UsageError("--disturb requires the toy-model input")
     if args.disturb and args.steps < 1:
         raise UsageError("--disturb needs at least one decode step")
+    if args.config is None and args.budget is None:
+        raise UsageError("pass --config or --budget")
 
-    inputs = []
-    report = None
-    if args.trace is not None:
-        inputs.append(args.trace)
-        trace = load_trace(args.trace)
-        n_total = trace.meta.seq_len
-        if args.config is not None:
-            inputs.append(args.config)
-            config = load_config(args.config)
-        else:
-            if args.budget is None:
-                raise UsageError("pass --config or --budget")
-            n0 = n_total - args.steps
-            if n0 < 1:
-                raise ValidationError(f"trace of length {n_total} too short for {args.steps} steps")
-            budget = _budget_from_args(args)
-            prefix = trace_prefix(trace, n0)
-            seq = priority_sequence(compute_importance(prefix))
-            config = _plan_for(seq, prefix.meta, args.policy, budget, args.sink)
-        prefill = trace_prefix(trace, config.seq_len)
-        state = prefill_compress(prefill, config, protect_distance=args.protect,
-                                 merge_policy=args.merge)
-        prefill_info = retained_info(state, state.report_profile)
-        replay_steps(trace, state, args.steps)
+    inputs = [p for p in (args.trace, args.config) if p is not None]
+    config = None if args.config is None else load_config(args.config)
+    if args.trace is None:
+        run = _toy_runs(args, 1)[0]
+    elif config is None:
+        run = _trace_run(load_trace(args.trace), args.steps)
     else:
-        model = ToyModel(layers=args.toy_layers, heads=args.toy_heads,
-                         dim=args.toy_dim, vocab=args.toy_vocab, seed=args.toy_seed)
-        prompt = np.random.default_rng(model.seed).integers(0, model.vocab,
-                                                            size=args.prompt_len)
-        trace = forward_trace(model, prompt)
-        if args.config is not None:
-            inputs.append(args.config)
-            config = load_config(args.config)
-            if config.seq_len != args.prompt_len:
-                raise ValidationError(
-                    f"configuration covers {config.seq_len} positions, prompt has {args.prompt_len}"
-                )
-        else:
-            if args.budget is None:
-                raise UsageError("pass --config or --budget")
-            budget = _budget_from_args(args)
-            seq = priority_sequence(compute_importance(trace))
-            config = _plan_for(seq, trace.meta, args.policy, budget, args.sink)
-        state = prefill_compress(trace, config, protect_distance=args.protect,
-                                 merge_policy=args.merge)
-        prefill_info = retained_info(state, state.report_profile)
-        if args.steps > 0:
-            decode(model, prompt, args.steps, state)
-        if args.disturb:
-            report = disturbance(model, args.prompt_len, args.steps, config,
-                                 protect_distance=args.protect, merge_policy=args.merge)
+        run = _Run(load_trace(args.trace), config.seq_len, None)
+    if config is None:
+        config = run.plan(args.policy, _budget_from_args(args, parse_budget(args.budget)),
+                          args.sink)
+    state = prefill_compress(run.prefill, config, protect_distance=args.protect,
+                             merge_policy=args.merge)
+    prefill_info = retained_info(state, state.report_profile)
+    if args.steps > 0:
+        run.advance(state, args.steps)
 
     outputs = _write_sim_outputs(args, state, prefill_info)
-    if report is not None:
-        rows = []
-        for l in range(report.mae.shape[0]):
-            for t in range(report.mae.shape[1]):
-                rows.append([l, t, float(report.mae[l, t])])
+    if args.disturb:
+        # The logged run decoded its own tokens; disturbance teacher-forces
+        # the reference's, so it starts from a fresh compressed prefill.
+        compressed = prefill_compress(run.prefill, config, protect_distance=args.protect,
+                                      merge_policy=args.merge)
+        report = disturbance(run.model, run.trace, run.reference(args.steps, args.protect),
+                             compressed)
+        rows = [[l, t, float(v)] for (l, t), v in np.ndenumerate(report.mae)]
         _write_csv(args.out_disturb, ["layer", "token_index", "mae"], rows)
         outputs.append(args.out_disturb)
     _write_manifest("simulate", args, inputs, outputs)
@@ -304,6 +339,20 @@ def run_simulate(args: argparse.Namespace) -> list[str]:
 # --------------------------------------------------------------------------
 # compare
 # --------------------------------------------------------------------------
+
+def _compare_cell(run: _Run, reference, config, args: argparse.Namespace,
+                  mode: str) -> list[float]:
+    """Retained info after prefill (and any trace replay); toy runs add their MAE."""
+    state = prefill_compress(run.prefill, config, protect_distance=args.protect,
+                             merge_policy=mode)
+    if reference is None and args.steps:
+        run.advance(state, args.steps)
+    info = retained_info(state, state.report_profile)
+    cell = [float(info.min()), float(info.mean())]
+    if reference is not None:
+        cell.append(float(disturbance(run.model, run.trace, reference, state).mae.mean()))
+    return cell
+
 
 def run_compare(args: argparse.Namespace) -> list[str]:
     budgets = _parse_budget_list(args.budgets)
@@ -315,69 +364,27 @@ def run_compare(args: argparse.Namespace) -> list[str]:
     if (args.traces is None or not args.traces) == (args.toy_seed is None):
         raise UsageError("pass trace files or --toy-seed, not both")
 
-    rows = []
+    header = ["budget", "policy", "merge", "min_retained_info", "mean_retained_info"]
     if args.toy_seed is not None:
-        models = [ToyModel(layers=args.toy_layers, heads=args.toy_heads, dim=args.toy_dim,
-                           vocab=args.toy_vocab, seed=args.toy_seed + i)
-                  for i in range(args.runs)]
-        contexts = []
-        for model in models:
-            prompt = np.random.default_rng(model.seed).integers(0, model.vocab,
-                                                                size=args.prompt_len)
-            trace = forward_trace(model, prompt)
-            seq = priority_sequence(compute_importance(trace))
-            contexts.append((model, trace, seq))
-        for r in budgets:
-            budget = BudgetSpec(r=r, delta_tol=args.delta_tol, max_steps=args.max_steps,
-                                min_tokens_per_layer=args.min_per_layer)
-            for policy in policies:
-                for mode in merges:
-                    mins, means, maes = [], [], []
-                    for model, trace, seq in contexts:
-                        config = _plan_for(seq, trace.meta, policy, budget, args.sink)
-                        state = prefill_compress(trace, config, protect_distance=args.protect,
-                                                 merge_policy=mode)
-                        info = retained_info(state, state.report_profile)
-                        mins.append(float(info.min()))
-                        means.append(float(info.mean()))
-                        report = disturbance(model, args.prompt_len, args.decode_len, config,
-                                             protect_distance=args.protect, merge_policy=mode)
-                        maes.append(float(report.mae.mean()))
-                    rows.append([r, policy, mode,
-                                 float(np.mean(mins)), float(np.mean(means)),
-                                 float(np.mean(maes))])
-        header = ["budget", "policy", "merge", "min_retained_info",
-                  "mean_retained_info", "mean_mae"]
         inputs = []
+        runs = _toy_runs(args, args.runs)
+        references = [run.reference(args.decode_len, args.protect) for run in runs]
+        header.append("mean_mae")
     else:
-        loaded = [load_trace(p) for p in args.traces]
-        contexts = []
-        for trace in loaded:
-            n0 = trace.meta.seq_len - args.steps
-            if n0 < 1:
-                raise ValidationError("trace too short for the requested decode steps")
-            prefix = trace_prefix(trace, n0)
-            seq = priority_sequence(compute_importance(prefix))
-            contexts.append((trace, prefix, seq))
-        for r in budgets:
-            budget = BudgetSpec(r=r, delta_tol=args.delta_tol, max_steps=args.max_steps,
-                                min_tokens_per_layer=args.min_per_layer)
-            for policy in policies:
-                for mode in merges:
-                    mins, means = [], []
-                    for trace, prefix, seq in contexts:
-                        config = _plan_for(seq, prefix.meta, policy, budget, args.sink)
-                        state = prefill_compress(prefix, config, protect_distance=args.protect,
-                                                 merge_policy=mode)
-                        if args.steps:
-                            replay_steps(trace, state, args.steps)
-                        info = retained_info(state, state.report_profile)
-                        mins.append(float(info.min()))
-                        means.append(float(info.mean()))
-                    rows.append([r, policy, mode,
-                                 float(np.mean(mins)), float(np.mean(means))])
-        header = ["budget", "policy", "merge", "min_retained_info", "mean_retained_info"]
         inputs = list(args.traces)
+        runs = [_trace_run(load_trace(p), args.steps) for p in args.traces]
+        references = [None] * len(runs)
+
+    rows = []
+    for r in budgets:
+        budget = _budget_from_args(args, r)
+        for policy in policies:
+            for mode in merges:
+                cells = [_compare_cell(run, reference, run.plan(policy, budget, args.sink),
+                                       args, mode)
+                         for run, reference in zip(runs, references)]
+                rows.append([r, policy, mode,
+                             *(float(np.mean(column)) for column in zip(*cells))])
 
     _write_csv(args.out, header, rows)
     outputs = [args.out]
@@ -444,6 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=run_analyze)
 
     p = sub.add_parser("plan", help="derive a prefix configuration for a budget")
+    p.add_argument("--budget", required=True, help=BUDGET_HELP)
     _add_budget_flags(p)
     p.add_argument("--policy", choices=["prefixkv", "uniform", "pyramid", "local"],
                    default="prefixkv")
@@ -460,17 +468,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run prefill compression plus decode maintenance")
     p.add_argument("--config", default=None)
-    _add_budget_flags(p, required=False)
+    p.add_argument("--budget", default=None, help=BUDGET_HELP)
+    _add_budget_flags(p)
     p.add_argument("--policy", choices=["prefixkv", "uniform", "pyramid", "local"],
                    default="prefixkv")
     p.add_argument("--sink", type=int, default=4)
     p.add_argument("--trace", default=None)
-    p.add_argument("--toy-seed", type=int, default=None)
-    p.add_argument("--toy-layers", type=int, default=8)
-    p.add_argument("--toy-heads", type=int, default=4)
-    p.add_argument("--toy-dim", type=int, default=64)
-    p.add_argument("--toy-vocab", type=int, default=256)
-    p.add_argument("--prompt-len", type=int, default=64)
+    _add_toy_flags(p)
     p.add_argument("--steps", type=int, default=32)
     p.add_argument("--merge", choices=["none", "position", "feature"], default="none")
     p.add_argument("--protect", type=int, default=10)
@@ -485,20 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budgets", required=True, help="comma-separated budget list")
     p.add_argument("--policies", default="prefixkv,uniform,pyramid,local")
     p.add_argument("--merge", default="none")
-    p.add_argument("--delta-tol", type=float, default=0.025)
-    p.add_argument("--max-steps", type=int, default=32)
-    p.add_argument("--min-per-layer", "--layers-min", dest="min_per_layer",
-                   type=int, default=1)
+    _add_budget_flags(p)
     p.add_argument("--sink", type=int, default=4)
     p.add_argument("--protect", type=int, default=10)
     p.add_argument("--steps", type=int, default=0,
                    help="replayed decode steps per trace")
-    p.add_argument("--toy-seed", type=int, default=None)
-    p.add_argument("--toy-layers", type=int, default=8)
-    p.add_argument("--toy-heads", type=int, default=4)
-    p.add_argument("--toy-dim", type=int, default=64)
-    p.add_argument("--toy-vocab", type=int, default=256)
-    p.add_argument("--prompt-len", type=int, default=64)
+    _add_toy_flags(p)
     p.add_argument("--decode-len", type=int, default=16)
     p.add_argument("--runs", type=int, default=3)
     p.add_argument("--out", default="compare.csv")

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import MismatchError
 from .trace import AttentionTrace, TraceMeta
 
 if TYPE_CHECKING:
@@ -128,37 +129,33 @@ def forward_trace(model: ToyModel, token_ids) -> AttentionTrace:
 
 def decode(
     model: ToyModel,
-    prompt,
+    trace: AttentionTrace,
     steps: int,
-    state: "CacheState | None" = None,
+    state: CacheState,
     forced_tokens=None,
 ):
-    """Greedy decoding over a (possibly compressed) cache.
+    """Greedy decoding that continues a prompt's forward trace.
 
-    Each step attends only to the live cache entries plus the new token
-    itself, feeding the resulting rows and key/value vectors back into
-    the cache state so eviction and merging happen mid-decode. When
-    ``forced_tokens`` is given, the input stream is overridden with those
-    ids (teacher forcing) while features are still computed under the
-    supplied cache.
+    ``trace`` is the prompt's ``forward_trace``; its last-layer features
+    at the final position give the first token, and ``state`` is a cache
+    prefilled from it (full or compressed). Each step attends only to the
+    live cache entries plus the new token itself, feeding the resulting
+    rows and key/value vectors back into the cache state so eviction and
+    merging happen mid-decode. When ``forced_tokens`` is given, the input
+    stream is overridden with those ids (teacher forcing) while features
+    are still computed under the supplied cache.
 
     Returns ``(tokens, features)``: the ids at positions N..N+steps-1 and
     an array of shape (steps, layers, dim) with each step's post-attention
     features at every layer.
     """
-    ids = np.asarray(prompt, dtype=np.int64)
-    model._check_ids(ids)
     if steps < 1:
         raise ValueError("decode needs at least one step")
-    if state is None:
-        from .cachesim import full_cache_state
-
-        state = full_cache_state(forward_trace(model, ids))
-    if state.current_len != len(ids):
-        from .errors import MismatchError
-
+    if trace.features is None:
+        raise MismatchError("decode continues from a forward trace with features")
+    if state.current_len != trace.meta.seq_len:
         raise MismatchError(
-            f"cache holds {state.current_len} positions but prompt has {len(ids)}"
+            f"cache holds {state.current_len} positions but prompt has {trace.meta.seq_len}"
         )
     if forced_tokens is not None and len(forced_tokens) < steps:
         raise ValueError("forced_tokens must cover every decode step")
@@ -166,8 +163,7 @@ def decode(
     L, H, hd = model.layers, model.heads, model.head_dim
     # The first generated token comes from the prompt's final logits,
     # which compression (applied after prefill) does not affect.
-    *_, prefill_features = _forward(model, ids)
-    next_id = int(np.argmax(prefill_features[-1, -1] @ model.unembedding))
+    next_id = int(np.argmax(trace.features[-1, -1] @ model.unembedding))
     if forced_tokens is not None:
         next_id = int(forced_tokens[0])
 
@@ -183,8 +179,6 @@ def decode(
             v_new = (x @ model.w_value[l]).reshape(H, hd)
             entries = state.layer_caches[l]
             if entries and entries[0].key is None:
-                from .errors import MismatchError
-
                 raise MismatchError("cache entries carry no key/value vectors")
             k_all = np.stack([e.key for e in entries] + [k_new], axis=1)  # (H, n+1, hd)
             v_all = np.stack([e.value for e in entries] + [v_new], axis=1)

@@ -19,6 +19,7 @@ from kvbudget import (
     disturbance,
     finalize_config,
     forward_trace,
+    full_cache_state,
     gini,
     lorenz_curve,
     merge,
@@ -298,9 +299,11 @@ def test_09_disturbance_ordering():
         trace = forward_trace(model, prompt)
         seq = priority_sequence(compute_importance(trace))
         budget = BudgetSpec(r=0.5)
-        pkv = disturbance(model, 96, 8, plan_online(seq, budget)).mae.mean()
-        uni = disturbance(model, 96, 8,
-                          baseline_config("uniform", budget, trace.meta)).mae.mean()
+        reference = decode(model, trace, 8, full_cache_state(trace))
+        pkv = disturbance(model, trace, reference,
+                          prefill_compress(trace, plan_online(seq, budget))).mae.mean()
+        uni = disturbance(model, trace, reference, prefill_compress(
+            trace, baseline_config("uniform", budget, trace.meta))).mae.mean()
         pkv_means.append(pkv)
         uni_means.append(uni)
         wins += pkv <= uni
@@ -335,13 +338,14 @@ def test_10_trivial_budget_identity():
     model = ToyModel(layers=4, heads=2, dim=32, seed=13)
     prompt = np.random.default_rng(model.seed).integers(0, model.vocab, 32)
     toy_trace = forward_trace(model, prompt)
-    full_tokens, full_feats = decode(model, prompt, 8)
+    full_tokens, full_feats = decode(model, toy_trace, 8, full_cache_state(toy_trace))
     full_config = baseline_config("uniform", BudgetSpec(r=1.0), toy_trace.meta)
     compressed = prefill_compress(toy_trace, full_config)
-    tokens, feats = decode(model, prompt, 8, compressed)
+    tokens, feats = decode(model, toy_trace, 8, compressed)
     ok &= bool(np.array_equal(full_tokens, tokens))
     ok &= bool(np.array_equal(full_feats, feats))
 
-    mae = disturbance(model, 32, 8, full_config).mae
+    mae = disturbance(model, toy_trace, (full_tokens, full_feats),
+                      prefill_compress(toy_trace, full_config)).mae
     ok &= bool(np.all(mae == 0.0))
     report(10, ok, "no evictions, retained 1.0, identical decode, MAE exactly 0")

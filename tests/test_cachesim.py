@@ -9,7 +9,9 @@ from kvbudget import (
     ValidationError,
     baseline_config,
     compute_importance,
+    decode,
     disturbance,
+    forward_trace,
     full_cache_state,
     merge,
     plan_online,
@@ -164,6 +166,30 @@ class TestDecodeStep:
             self._step(state)
             t = state.current_len
             assert len(state.layer_caches[0]) <= max(1, int(0.5 * t)) + 1
+
+    @pytest.mark.parametrize("bad", ["row sum", "shape"])
+    def test_rejected_step_leaves_state_untouched(self, bad):
+        # Layers 0-1 would absorb the step and evict before layer 2's rows
+        # are checked if validation ran inside the mutation loop.
+        trace = synth_trace(3, 2, 24, [0.1, 1.0, 3.0], seed=5, with_kv=True)
+        config = plan_online(priority_sequence(compute_importance(trace)), BudgetSpec(r=0.3))
+        state = prefill_compress(trace, config, protect_distance=2, merge_policy="position")
+        rows = [np.full((2, len(c) + 1), 1.0 / (len(c) + 1)) for c in state.layer_caches]
+        kv = [(np.ones((2, 16)), np.ones((2, 16)))] * 3
+
+        def snapshot():
+            return ([[(e.position, e.importance_acc, list(e.merged_from)) for e in c]
+                     for c in state.layer_caches],
+                    [list(h) for h in state.hard_evicted], list(state.step_log),
+                    state.current_len)
+
+        before = snapshot()
+        broken = rows[:2] + [rows[2] * 1.5 if bad == "row sum" else rows[2][:, 1:]]
+        with pytest.raises(ValidationError, match=bad):
+            state.decode_step(broken, kv)
+        assert snapshot() == before
+        record = state.decode_step(rows, kv)
+        assert any(ev["layer"] < 2 for ev in record["evicted"])
 
 
 class TestMerge:
@@ -342,18 +368,22 @@ class TestDisturbance:
         config = baseline_config(
             "uniform", BudgetSpec(r=1.0), TraceMeta_for(model, 24)
         )
-        report = disturbance(model, 24, 6, config)
+        prompt = np.random.default_rng(model.seed).integers(0, model.vocab, 24)
+        trace = forward_trace(model, prompt)
+        reference = decode(model, trace, 6, full_cache_state(trace))
+        report = disturbance(model, trace, reference, prefill_compress(trace, config))
         assert report.mae.shape == (4, 6)
         assert np.all(report.mae == 0.0)
 
     def test_error_nonnegative_and_positive_under_compression(self):
         model = ToyModel(layers=4, heads=2, dim=32, seed=6)
         prompt = np.random.default_rng(model.seed).integers(0, model.vocab, 24)
-        from kvbudget import forward_trace
-
-        seq = priority_sequence(compute_importance(forward_trace(model, prompt)))
+        trace = forward_trace(model, prompt)
+        seq = priority_sequence(compute_importance(trace))
         config = plan_online(seq, BudgetSpec(r=0.3))
-        report = disturbance(model, 24, 6, config, protect_distance=2)
+        reference = decode(model, trace, 6, full_cache_state(trace, protect_distance=2))
+        state = prefill_compress(trace, config, protect_distance=2)
+        report = disturbance(model, trace, reference, state)
         assert np.all(report.mae >= 0.0)
         assert report.mae.mean() > 0.0
         assert report.per_layer_mae.shape == (4,)

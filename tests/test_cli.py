@@ -188,6 +188,15 @@ class TestSimulate:
         assert run(["simulate", "--config", "c.json", "--trace", "t.json",
                     "--steps", "8"], tmp_path) == 2
 
+    @pytest.mark.parametrize("steps", ["0", "4"])
+    def test_config_prompt_length_mismatch(self, tmp_path, steps):
+        run(["synth", "--mode", "toy", "--layers", "4", "--heads", "2", "--dim", "32",
+             "--seq", "20", "--seed", "5", "--out", "toy.json"], tmp_path)
+        assert run(["plan", "--budget", "0.5", "--out", "c20.json", "toy.json"], tmp_path) == 0
+        assert run(["simulate", "--config", "c20.json", "--toy-seed", "5",
+                    "--toy-layers", "4", "--toy-heads", "2", "--toy-dim", "32",
+                    "--prompt-len", "24", "--steps", steps], tmp_path) == 2
+
 
 class TestCompare:
     def test_policy_grid(self, tmp_path, dirichlet_trace):
@@ -230,6 +239,24 @@ class TestManifests:
         assert run(["replay", "sim.jsonl.manifest.json"], tmp_path) == 0
         assert (tmp_path / "sim.jsonl").read_bytes() == log_bytes
         assert (tmp_path / "retained_info.csv").read_bytes() == info_bytes
+
+    def test_toy_simulate_replay_reproduces_bit_exactly(self, tmp_path):
+        assert run(["simulate", "--budget", "0.4", "--toy-seed", "3", "--toy-layers", "4",
+                    "--toy-dim", "32", "--prompt-len", "24", "--steps", "6",
+                    "--merge", "position", "--protect", "3", "--disturb"], tmp_path) == 0
+        names = ["sim.jsonl", "retained_info.csv", "disturbance.csv"]
+        before = [(tmp_path / name).read_bytes() for name in names]
+        assert run(["replay", "sim.jsonl.manifest.json"], tmp_path) == 0
+        assert [(tmp_path / name).read_bytes() for name in names] == before
+
+    def test_toy_compare_replay_reproduces_bit_exactly(self, tmp_path):
+        assert run(["compare", "--budgets", "0.3,0.6", "--policies", "prefixkv,local",
+                    "--merge", "none,feature", "--toy-seed", "4", "--runs", "2",
+                    "--toy-layers", "3", "--toy-dim", "32", "--prompt-len", "20",
+                    "--decode-len", "4", "--out", "toy.csv"], tmp_path) == 0
+        before = (tmp_path / "toy.csv").read_bytes()
+        assert run(["replay", "toy.csv.manifest.json"], tmp_path) == 0
+        assert (tmp_path / "toy.csv").read_bytes() == before
 
     def test_manifest_lists_outputs_and_version(self, tmp_path, dirichlet_trace):
         manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())

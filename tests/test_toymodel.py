@@ -14,6 +14,7 @@ from kvbudget import (
     plan_online,
     prefill_compress,
     priority_sequence,
+    synth_trace,
 )
 
 
@@ -65,17 +66,17 @@ class TestDecode:
     def test_full_budget_cache_matches_plain_decode(self, model):
         prompt = prompt_for(model)
         trace = forward_trace(model, prompt)
-        full_tokens, full_feats = decode(model, prompt, 8)
+        full_tokens, full_feats = decode(model, trace, 8, full_cache_state(trace))
         config = baseline_config("uniform", BudgetSpec(r=1.0), trace.meta)
         state = prefill_compress(trace, config)
-        tokens, feats = decode(model, prompt, 8, state)
+        tokens, feats = decode(model, trace, 8, state)
         assert np.array_equal(full_tokens, tokens)
         assert np.array_equal(full_feats, feats)
 
     def test_greedy_decoding_deterministic(self, model):
-        prompt = prompt_for(model)
-        a = decode(model, prompt, 10)
-        b = decode(model, prompt, 10)
+        trace = forward_trace(model, prompt_for(model))
+        a = decode(model, trace, 10, full_cache_state(trace))
+        b = decode(model, trace, 10, full_cache_state(trace))
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
@@ -84,10 +85,10 @@ class TestDecode:
         prompt = np.random.default_rng(model.seed).integers(0, model.vocab, 64)
         trace = forward_trace(model, prompt)
         seq = priority_sequence(compute_importance(trace))
-        full_tokens, _ = decode(model, prompt, 16)
+        full_tokens, _ = decode(model, trace, 16, full_cache_state(trace))
         state = prefill_compress(trace, plan_online(seq, BudgetSpec(r=0.1)),
                                  protect_distance=2)
-        compressed_tokens, _ = decode(model, prompt, 16, state)
+        compressed_tokens, _ = decode(model, trace, 16, state)
         diverged = np.nonzero(full_tokens != compressed_tokens)[0]
         assert len(diverged) > 0
         assert diverged[0] >= 1  # the first token comes from the uncompressed prefill
@@ -99,7 +100,7 @@ class TestDecode:
         for r in (0.3, 0.7, 1.0):
             state = prefill_compress(trace, plan_online(seq, BudgetSpec(r=r)),
                                      protect_distance=2)
-            _, feats = decode(model, prompt, 5, state)
+            _, feats = decode(model, trace, 5, state)
             assert feats.shape == (5, model.layers, model.dim)
 
     def test_attention_rows_renormalized_over_live_cache(self, model):
@@ -110,7 +111,7 @@ class TestDecode:
         seq = priority_sequence(compute_importance(trace))
         state = prefill_compress(trace, plan_online(seq, BudgetSpec(r=0.4)),
                                  protect_distance=2)
-        decode(model, prompt, 6, state)
+        decode(model, trace, 6, state)
         assert len(state.step_log) == 6
 
     def test_forced_tokens_override_inputs(self, model):
@@ -118,15 +119,21 @@ class TestDecode:
         trace = forward_trace(model, prompt)
         forced = np.array([5, 6, 7, 8])
         state = full_cache_state(trace)
-        tokens, _ = decode(model, prompt, 4, state, forced_tokens=forced)
+        tokens, _ = decode(model, trace, 4, state, forced_tokens=forced)
         assert np.array_equal(tokens, forced)
 
     def test_prompt_cache_mismatch(self, model):
         trace = forward_trace(model, prompt_for(model, 20))
         state = full_cache_state(trace)
         with pytest.raises(MismatchError, match="positions"):
-            decode(model, prompt_for(model, 24), 2, state)
+            decode(model, forward_trace(model, prompt_for(model, 24)), 2, state)
+
+    def test_requires_trace_features(self, model):
+        trace = synth_trace(4, 2, 20, [1.0] * 4, seed=0, with_kv=True)
+        with pytest.raises(MismatchError, match="features"):
+            decode(model, trace, 2, full_cache_state(trace))
 
     def test_requires_steps(self, model):
+        trace = forward_trace(model, prompt_for(model))
         with pytest.raises(ValueError, match="at least one"):
-            decode(model, prompt_for(model), 0)
+            decode(model, trace, 0, full_cache_state(trace))
