@@ -12,12 +12,17 @@ best-matching neighbour, whenever a layer runs over capacity. Entries
 within ``protect_distance`` of the newest position are never evicted or
 merged away.
 
+Each layer's live entries are parallel arrays in ascending position
+order, and one kernel, ``CacheState.decode_step``, serves both trace
+replay and toy-model decoding.
+
 A CacheState is a single-writer object; independent simulations may run
 in parallel on separate states.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +45,8 @@ class CacheEntry:
     ``merged_from`` lists positions whose vectors were absorbed here;
     ``key``/``value`` are then flat averages over this entry's original
     vectors and every absorbed one, shape (H, d) when present.
+    ``merge`` updates these in place; ``CacheState.layer_caches`` hands
+    out copies of its arrays in this form.
     """
 
     position: int
@@ -47,6 +54,103 @@ class CacheEntry:
     key: np.ndarray | None = None
     value: np.ndarray | None = None
     merged_from: list[int] = field(default_factory=list)
+
+
+def _padded(live: np.ndarray, axis: int) -> np.ndarray:
+    """Copy of ``live`` with free slots appended along its entry axis.
+
+    The room grows with the entry count, so repeated appends cost
+    amortised constant time and slots follow a layer's own size.
+    """
+    shape = list(live.shape)
+    n = shape[axis]
+    shape[axis] = n + n // 4 + 8
+    out = np.empty(shape, dtype=live.dtype)
+    out[(slice(None),) * axis + (slice(0, n),)] = live
+    return out
+
+
+class _LayerCache:
+    """One layer's live entries as parallel arrays in ascending position order.
+
+    Slots ``[:n]`` are live. ``kv`` stacks the (H, slots, d) key and value
+    blocks, or is None for a cache without vectors; ``absorbed[i]`` is the
+    tuple of positions merged into entry ``i``, so its vectors average
+    over ``1 + len(absorbed[i])`` originals.
+    """
+
+    __slots__ = ("n", "pos", "acc", "kv", "absorbed")
+
+    def __init__(self, positions: np.ndarray, importance: np.ndarray, keys=None, values=None):
+        self.n = n = len(positions)
+        self.pos = _padded(positions, 0)
+        self.acc = _padded(importance, 0)
+        self.kv = None
+        if keys is not None:
+            heads, _, dim = keys.shape
+            self.kv = np.empty((2, heads, len(self.pos), dim))
+            self.kv[0, :, :n] = keys
+            self.kv[1, :, :n] = values
+        self.absorbed: list[tuple[int, ...]] = [()] * n
+
+    def append(self, position: int, importance: float, kv) -> None:
+        n = self.n
+        if n == len(self.pos):
+            self.pos, self.acc = _padded(self.pos, 0), _padded(self.acc, 0)
+            if self.kv is not None:
+                self.kv = _padded(self.kv, 2)
+        self.pos[n] = position
+        self.acc[n] = importance
+        if self.kv is not None:
+            self.kv[:, :, n] = kv
+        self.absorbed.append(())
+        self.n = n + 1
+
+    def remove(self, i: int):
+        """Drop entry ``i``, shifting the later ones down; returns what it held."""
+        n = self.n
+        kv = None
+        if self.kv is not None:
+            kv = self.kv[:, :, i].copy()
+            self.kv[:, :, i:n - 1] = self.kv[:, :, i + 1:n]
+        position = int(self.pos[i])
+        self.pos[i:n - 1] = self.pos[i + 1:n]
+        self.acc[i:n - 1] = self.acc[i + 1:n]
+        self.n = n - 1
+        return position, self.absorbed.pop(i), kv
+
+    def absorb(self, policy: str, position: int, absorbed, kv) -> int:
+        """Merge a removed entry into its best match; returns the winner's index."""
+        n = self.n
+        if self.kv is None:
+            w = _match(policy, position, None, self.pos[:n], None)
+        else:
+            w = _match(policy, position, kv[0], self.pos[:n], self.kv[0, :, :n])
+            self.kv[:, :, w] = _flat_mean(self.kv[:, :, w], 1 + len(self.absorbed[w]),
+                                          kv, 1 + len(absorbed))
+        self.absorbed[w] = self.absorbed[w] + (position,) + absorbed
+        return w
+
+    def entries(self) -> list[CacheEntry]:
+        n = self.n
+        keys = values = [None] * n
+        if self.kv is not None:
+            keys, values = self.kv[:, :, :n].transpose(0, 2, 1, 3).copy()
+        return [CacheEntry(p, a, k, v, list(m)) for p, a, k, v, m in
+                zip(self.pos[:n].tolist(), self.acc[:n].tolist(), keys, values, self.absorbed)]
+
+
+class _LayerEntries(Sequence):
+    """``layer_caches[l]``: a fresh list of CacheEntry copies of layer l's live entries."""
+
+    def __init__(self, layers: list[_LayerCache]):
+        self._layers = layers
+
+    def __len__(self) -> int:
+        return len(self._layers)
+
+    def __getitem__(self, layer: int) -> list[CacheEntry]:
+        return self._layers[layer].entries()
 
 
 class CacheState:
@@ -67,7 +171,8 @@ class CacheState:
         self.report_profile = profile
         self.protect_distance = int(protect_distance)
         self.merge_policy = merge_policy
-        self.layer_caches: list[list[CacheEntry]] = [[] for _ in range(config.layers)]
+        self._layers = [_LayerCache(np.empty(0, dtype=np.int64), np.empty(0))
+                        for _ in range(config.layers)]
         self.hard_evicted: list[list[int]] = [[] for _ in range(config.layers)]
         self.current_len = 0
         self.step_log: list[dict] = []
@@ -80,46 +185,85 @@ class CacheState:
     def newest_position(self) -> int:
         return self.current_len - 1
 
+    @property
+    def layer_caches(self) -> Sequence[list[CacheEntry]]:
+        """Per-layer snapshots of the live entries; changing them changes nothing here."""
+        return _LayerEntries(self._layers)
+
+    def set_layer(self, layer: int, positions, importance, keys=None, values=None) -> None:
+        """Replace a layer's live entries.
+
+        ``positions`` must ascend strictly; ``importance`` seeds their
+        accumulators; ``keys``/``values``, when given, have shape
+        (H, len(positions), d).
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        importance = np.asarray(importance, dtype=float)
+        if positions.ndim != 1 or (positions[1:] <= positions[:-1]).any():
+            raise ValueError("positions must be a strictly ascending 1-D sequence")
+        if importance.shape != positions.shape:
+            raise ValueError("importance must have one value per position")
+        if (keys is None) != (values is None):
+            raise ValueError("pass both keys and values, or neither")
+        if keys is not None:
+            keys, values = np.asarray(keys, dtype=float), np.asarray(values, dtype=float)
+            if keys.ndim != 3 or keys.shape[1] != len(positions) or values.shape != keys.shape:
+                raise ValueError("keys and values must have shape (heads, positions, dim)")
+        self._layers[layer] = _LayerCache(positions, importance, keys, values)
+
     def capacity(self, layer: int) -> int:
         """Current token allowance of a layer, re-derived from current_len."""
         floor = self.config.budget.min_tokens_per_layer
         return max(floor, int(self.config.ratios[layer] * self.current_len))
 
     def live_positions(self, layer: int) -> list[int]:
-        return [entry.position for entry in self.layer_caches[layer]]
+        cache = self._layers[layer]
+        return cache.pos[:cache.n].tolist()
 
-    def _select_evictee(self, layer: int) -> int | None:
-        """Index of the entry to evict, or None if everything is protected."""
-        newest = self.newest_position
-        best = None
-        best_key = None
-        for i, entry in enumerate(self.layer_caches[layer]):
-            if newest - entry.position < self.protect_distance:
-                continue
-            if self.config.policy == "local":
-                if entry.position < (self.config.sink_count or 0):
-                    continue
-                key = (entry.position, i)
-            else:
-                key = (entry.importance_acc, entry.position)
-            if best_key is None or key < best_key:
-                best_key, best = key, i
-        return best
+    def live_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (H, n, d) views of a layer's live key and value vectors."""
+        cache = self._layers[layer]
+        if cache.kv is None:
+            raise MismatchError("cache entries carry no key/value vectors")
+        live = cache.kv[:, :, :cache.n]
+        live.flags.writeable = False
+        return live[0], live[1]
+
+    def _select_evictee(self, cache: _LayerCache) -> int | None:
+        """Index of the entry to evict, or None if everything is protected.
+
+        Entries at least ``protect_distance`` behind the newest position
+        form a prefix; among them the lowest accumulator goes, ties to the
+        lower position, or for the local policy the oldest non-sink entry.
+        """
+        live = cache.pos[:cache.n]
+        eligible = int(live.searchsorted(self.newest_position - self.protect_distance,
+                                         side="right"))
+        if self.config.policy == "local":
+            first = int(live.searchsorted(self.config.sink_count or 0))
+            return first if first < eligible else None
+        return int(cache.acc[:eligible].argmin()) if eligible else None
 
     def decode_step(self, new_attention, new_kv=None) -> dict:
         """Fold one decoded token into every layer and enforce capacity.
 
         ``new_attention[l]`` holds per-head rows over the layer's live
         entries plus the new token itself, each row normalized;
-        ``new_kv[l]``, when given, is the ``(key, value)`` pair of shape
-        (H, d) to store. Every layer's input is checked before any layer
-        changes, so a rejected step leaves the state untouched. Returns
-        the appended log record.
+        ``new_kv[l]`` is the ``(key, value)`` pair of shape (H, d) to
+        store, required exactly when the cache holds vectors. Every
+        layer's input is checked before any layer changes, so a rejected
+        step leaves the state untouched. Returns the appended log record.
         """
+        if len(new_attention) != self.layers or (
+            new_kv is not None and len(new_kv) != self.layers
+        ):
+            raise ValidationError(
+                f"decode step inputs must cover the cache's {self.layers} layers"
+            )
         checked = []
-        for l in range(self.layers):
+        for l, cache in enumerate(self._layers):
             rows = np.asarray(new_attention[l], dtype=float)
-            expected = len(self.layer_caches[l]) + 1
+            expected = cache.n + 1
             if rows.ndim != 2 or rows.shape[1] != expected:
                 raise ValidationError(
                     f"attention rows for layer {l} have shape {rows.shape}, "
@@ -127,44 +271,49 @@ class CacheState:
                 )
             sums = rows.sum(axis=1)
             off = np.abs(sums - 1.0) > ROW_SUM_TOL
-            if np.any(off):
+            if off.any():
                 h = int(np.argwhere(off)[0][0])
                 raise ValidationError(
                     f"row sum {sums[h]:.6g} at layer {l} head {h} during decode"
                 )
-            key = value = None
+            if (new_kv is None) != (cache.kv is None):
+                raise MismatchError(f"layer {l}: pass new_kv exactly when the cache "
+                                    "holds key/value vectors")
+            if self.merge_policy == "feature" and cache.kv is None:
+                raise MismatchError("feature merging requires key vectors on every entry")
+            kv = None
             if new_kv is not None:
-                key, value = new_kv[l]
-                key = np.array(key, dtype=float)
-                value = np.array(value, dtype=float)
-            checked.append((rows, key, value))
+                kv = np.asarray(new_kv[l], dtype=float)
+                shape = (2, cache.kv.shape[1], cache.kv.shape[3])
+                if kv.shape != shape:
+                    raise ValidationError(f"key/value pair for layer {l} has shape "
+                                          f"{kv.shape}, expected {shape}")
+            checked.append((rows, kv))
 
         position = self.current_len
         self.current_len += 1
         events: list[dict] = []
-        for l, (rows, key, value) in enumerate(checked):
-            cache = self.layer_caches[l]
-            received = rows.mean(axis=0)
-            for i, entry in enumerate(cache):
-                entry.importance_acc += received[i]
-            cache.append(CacheEntry(position=position, importance_acc=float(received[-1]),
-                                    key=key, value=value))
+        for l, (rows, kv) in enumerate(checked):
+            cache = self._layers[l]
+            received = rows.sum(axis=0) / len(rows)  # the head mean
+            cache.acc[:cache.n] += received[:-1]
+            cache.append(position, received[-1], kv)
             capacity = self.capacity(l)
-            while len(cache) > capacity:
-                idx = self._select_evictee(l)
+            while cache.n > capacity:
+                idx = self._select_evictee(cache)
                 if idx is None:
                     break  # everything in reach is protected; capacity resumes later
-                evictee = cache.pop(idx)
-                if self.merge_policy != "none" and cache:
-                    winner = merge(self.merge_policy, evictee, cache)
-                    events.append({"layer": l, "pos": evictee.position,
-                                   "merged_into": winner.position})
+                gone, absorbed, gone_kv = cache.remove(idx)
+                if self.merge_policy != "none" and cache.n:
+                    winner = cache.absorb(self.merge_policy, gone, absorbed, gone_kv)
+                    events.append({"layer": l, "pos": gone,
+                                   "merged_into": int(cache.pos[winner])})
                 else:
-                    self.hard_evicted[l].append(evictee.position)
-                    events.append({"layer": l, "pos": evictee.position, "merged_into": None})
+                    self.hard_evicted[l].append(gone)
+                    events.append({"layer": l, "pos": gone, "merged_into": None})
         record = {
             "step": len(self.step_log) + 1,
-            "layer_sizes": [len(c) for c in self.layer_caches],
+            "layer_sizes": [cache.n for cache in self._layers],
             "evicted": events,
         }
         if self.report_profile is not None:
@@ -206,21 +355,15 @@ def prefill_compress(
         count = int(config.token_counts[l])
         if config.policy == "local":
             sinks = min(config.sink_count or 0, count)
-            keep = sorted(set(range(sinks)) | set(range(N - (count - sinks), N)))
+            keep = np.concatenate((np.arange(sinks), np.arange(N - count + sinks, N)))
         else:
             ranked = np.lexsort((np.arange(N), -profile.normalized[l]))
-            keep = sorted(int(p) for p in ranked[:count])
-        kept = set(keep)
-        state.hard_evicted[l].extend(p for p in range(N) if p not in kept)
-        for pos in keep:
-            key = value = None
-            if trace.keys is not None:
-                key = trace.keys[l, :, pos].copy()
-                value = trace.values[l, :, pos].copy()
-            state.layer_caches[l].append(
-                CacheEntry(position=pos, importance_acc=float(profile.raw[l][pos]),
-                           key=key, value=value)
-            )
+            keep = np.sort(ranked[:count])
+        dropped = np.ones(N, dtype=bool)
+        dropped[keep] = False
+        state.hard_evicted[l] = np.flatnonzero(dropped).tolist()
+        kv = () if trace.keys is None else (trace.keys[l][:, keep], trace.values[l][:, keep])
+        state.set_layer(l, keep, profile.raw[l][keep], *kv)
     return state
 
 
@@ -232,6 +375,34 @@ def full_cache_state(trace: AttentionTrace,
     return prefill_compress(trace, config, protect_distance=protect_distance)
 
 
+def _match(policy: str, position: int, key, positions: np.ndarray, keys) -> int:
+    """Index of the best merge partner among entries in ascending position order.
+
+    The position policy maximizes ``-|m - n|``; the feature policy the
+    cosine similarity of the flattened (H, d) key with each entry of the
+    (H, n, d) ``keys`` block, computed as a row-wise reduction so that
+    identical keys score identically. The first maximum wins, which is
+    the lower position on ties.
+    """
+    if policy == "position":
+        scores = -np.abs(positions - position)
+    elif policy == "feature":
+        dots = np.einsum("hnd,hd->n", keys, key)
+        norms = np.sqrt(np.einsum("hnd,hnd->n", keys, keys))
+        denom = np.sqrt(np.einsum("hd,hd->", key, key)) * norms
+        scores = np.full(len(positions), -np.inf)
+        np.divide(dots, denom, out=scores, where=denom > 0)
+    else:
+        raise ValueError(f"unknown merge policy {policy!r}")
+    return int(scores.argmax())
+
+
+def _flat_mean(mine: np.ndarray, mine_count: int, other: np.ndarray, other_count: int):
+    """Weights count the original vectors each side already averages over,
+    so the result stays a flat mean over all absorbed originals."""
+    return (mine * mine_count + other * other_count) / (mine_count + other_count)
+
+
 def merge(policy: str, evictee: CacheEntry, retained: list[CacheEntry]) -> CacheEntry:
     """Fold an evicted entry into its best-matching retained entry.
 
@@ -239,40 +410,26 @@ def merge(policy: str, evictee: CacheEntry, retained: list[CacheEntry]) -> Cache
     similarity of key vectors (feature policy), ties going to the lower
     retained position. The winner's key and value become flat averages
     over its own original vectors and everything absorbed so far, with
-    the absorbed positions recorded in ``merged_from``.
+    the absorbed positions recorded in ``merged_from``. This is the
+    entry-object form of the match and update ``CacheState.decode_step``
+    applies to its arrays.
     """
     if not retained:
         raise ValueError("cannot merge into an empty retained set")
-    if policy == "position":
-        scores = [-abs(evictee.position - entry.position) for entry in retained]
-    elif policy == "feature":
-        if evictee.key is None or any(entry.key is None for entry in retained):
+    ordered = sorted(retained, key=lambda entry: entry.position)
+    keys = None
+    if policy == "feature":
+        if evictee.key is None or any(entry.key is None for entry in ordered):
             raise MismatchError("feature merging requires key vectors on every entry")
-        flat = evictee.key.ravel()
-        norm = np.linalg.norm(flat)
-        scores = []
-        for entry in retained:
-            other = entry.key.ravel()
-            denom = norm * np.linalg.norm(other)
-            scores.append(float(flat @ other / denom) if denom > 0 else -np.inf)
-    else:
-        raise ValueError(f"unknown merge policy {policy!r}")
+        keys = np.stack([entry.key for entry in ordered], axis=1)
+    positions = np.array([entry.position for entry in ordered], dtype=np.int64)
+    winner = ordered[_match(policy, evictee.position, evictee.key, positions, keys)]
 
-    best = 0
-    for i in range(1, len(retained)):
-        if scores[i] > scores[best] or (
-            scores[i] == scores[best] and retained[i].position < retained[best].position
-        ):
-            best = i
-    winner = retained[best]
-
-    # Weights count the original vectors each side already averages over,
-    # so the update stays a flat mean over all absorbed originals.
     w_count = 1 + len(winner.merged_from)
     e_count = 1 + len(evictee.merged_from)
     if winner.key is not None and evictee.key is not None:
-        winner.key = (winner.key * w_count + evictee.key * e_count) / (w_count + e_count)
-        winner.value = (winner.value * w_count + evictee.value * e_count) / (w_count + e_count)
+        winner.key = _flat_mean(winner.key, w_count, evictee.key, e_count)
+        winner.value = _flat_mean(winner.value, w_count, evictee.value, e_count)
     winner.merged_from.append(evictee.position)
     winner.merged_from.extend(evictee.merged_from)
     return winner
@@ -286,9 +443,10 @@ def retained_info(state: CacheState, profile: ImportanceProfile) -> np.ndarray:
     """
     horizon = profile.meta.seq_len
     out = np.zeros(state.layers)
-    for l in range(state.layers):
-        positions = [e.position for e in state.layer_caches[l] if e.position < horizon]
-        if positions:
+    for l, cache in enumerate(state._layers):
+        live = cache.pos[:cache.n]
+        positions = live[:live.searchsorted(horizon)]
+        if len(positions):
             out[l] = float(profile.normalized[l][positions].sum())
     return out
 
@@ -312,11 +470,10 @@ def replay_steps(trace: AttentionTrace, state: CacheState, steps: int) -> None:
     for m in range(n0, n0 + steps):
         rows = []
         kv = None if trace.keys is None else []
-        for l in range(trace.meta.layers):
-            live = state.live_positions(l)
-            segment = trace.attention[l][:, m, live + [m]]
+        for l, cache in enumerate(state._layers):
+            segment = trace.attention[l][:, m, np.append(cache.pos[:cache.n], m)]
             sums = segment.sum(axis=1, keepdims=True)
-            if np.any(sums == 0.0):
+            if (sums == 0.0).any():
                 raise ValidationError(
                     f"attention row {m} of layer {l} has no mass on the live cache"
                 )

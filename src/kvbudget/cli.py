@@ -139,6 +139,22 @@ def _add_toy_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--prompt-len", type=int, default=64)
 
 
+def _check_run_flags(args: argparse.Namespace) -> None:
+    """Reject toy-model and cache settings the library would refuse, before any work."""
+    if args.protect < 1:
+        raise UsageError("--protect must be at least 1")
+    if args.steps < 0:
+        raise UsageError("--steps must not be negative")
+    if args.toy_seed is None:
+        return
+    for flag in ("toy_layers", "toy_heads", "toy_dim", "toy_vocab", "prompt_len"):
+        if getattr(args, flag) < 1:
+            raise UsageError(f"--{flag.replace('_', '-')} must be at least 1")
+    if args.toy_dim % args.toy_heads:
+        raise UsageError(f"--toy-dim {args.toy_dim} must be divisible by "
+                         f"--toy-heads {args.toy_heads}")
+
+
 def _prompt_trace(model: ToyModel, prompt_len: int) -> AttentionTrace:
     """Forward trace of the seeded prompt a toy model is measured on."""
     prompt = np.random.default_rng(model.seed).integers(0, model.vocab, size=prompt_len)
@@ -303,6 +319,7 @@ def run_simulate(args: argparse.Namespace) -> list[str]:
         raise UsageError("--disturb needs at least one decode step")
     if args.config is None and args.budget is None:
         raise UsageError("pass --config or --budget")
+    _check_run_flags(args)
 
     inputs = [p for p in (args.trace, args.config) if p is not None]
     config = None if args.config is None else load_config(args.config)
@@ -363,6 +380,9 @@ def run_compare(args: argparse.Namespace) -> list[str]:
         raise UsageError("budgets, policies and merge modes must be non-empty")
     if (args.traces is None or not args.traces) == (args.toy_seed is None):
         raise UsageError("pass trace files or --toy-seed, not both")
+    _check_run_flags(args)
+    if args.toy_seed is not None and (args.decode_len < 1 or args.runs < 1):
+        raise UsageError("--decode-len and --runs must be at least 1")
 
     header = ["budget", "policy", "merge", "min_retained_info", "mean_retained_info"]
     if args.toy_seed is not None:

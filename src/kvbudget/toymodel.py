@@ -177,11 +177,9 @@ def decode(
             q = (x @ model.w_query[l]).reshape(H, hd)
             k_new = (x @ model.w_key[l]).reshape(H, hd)
             v_new = (x @ model.w_value[l]).reshape(H, hd)
-            entries = state.layer_caches[l]
-            if entries and entries[0].key is None:
-                raise MismatchError("cache entries carry no key/value vectors")
-            k_all = np.stack([e.key for e in entries] + [k_new], axis=1)  # (H, n+1, hd)
-            v_all = np.stack([e.value for e in entries] + [v_new], axis=1)
+            k_live, v_live = state.live_kv(l)
+            k_all = np.concatenate((k_live, k_new[:, None]), axis=1)  # (H, n+1, hd)
+            v_all = np.concatenate((v_live, v_new[:, None]), axis=1)
             logits = model.logit_gains[l] * np.einsum("hd,hnd->hn", q, k_all) / np.sqrt(hd)
             logits -= logits.max(axis=-1, keepdims=True)
             row = np.exp(logits)

@@ -79,14 +79,16 @@ class TestPrefill:
 
 
 def make_state(importances, positions, current_len, capacity_n, protect=2,
-               policy="prefixkv", merge_policy="none", sink=None):
-    """State with one layer and hand-placed entries; ratio fixes capacity."""
+               policy="prefixkv", merge_policy="none", sink=None, keys=None):
+    """State with one layer and hand-placed entries; ratio fixes capacity.
+
+    ``keys``, when given, serve as both key and value vectors.
+    """
     config = importance_config([capacity_n], current_len, capacity_n / current_len,
                                policy=policy, sink=sink)
     state = CacheState(config, None, protect_distance=protect, merge_policy=merge_policy)
     state.current_len = current_len
-    for pos, imp in zip(positions, importances):
-        state.layer_caches[0].append(CacheEntry(position=pos, importance_acc=imp))
+    state.set_layer(0, positions, importances, keys, keys)
     return state
 
 
@@ -190,6 +192,42 @@ class TestDecodeStep:
         assert snapshot() == before
         record = state.decode_step(rows, kv)
         assert any(ev["layer"] < 2 for ev in record["evicted"])
+
+    def test_layer_count_and_key_value_presence_checked(self):
+        plain = make_state([0.5, 0.4], [0, 1], 2, 2)
+        with pytest.raises(MismatchError, match="new_kv"):
+            plain.decode_step([np.full((1, 3), 1.0 / 3)], [(np.ones((1, 2)), np.ones((1, 2)))])
+        vectors = make_state([0.5, 0.4], [0, 1], 2, 2, keys=np.ones((1, 2, 2)))
+        with pytest.raises(MismatchError, match="new_kv"):
+            vectors.decode_step([np.full((1, 3), 1.0 / 3)])
+        with pytest.raises(ValidationError, match="key/value pair"):
+            vectors.decode_step([np.full((1, 3), 1.0 / 3)], [(np.ones((1, 3)), np.ones((1, 3)))])
+        with pytest.raises(ValidationError, match="cover"):
+            plain.decode_step([np.full((1, 3), 1.0 / 3)] * 2)
+        assert plain.current_len == vectors.current_len == 2
+        assert not plain.step_log and not vectors.step_log
+
+    def test_set_layer_rejects_unordered_positions(self):
+        state = make_state([0.5], [0], 1, 1)
+        with pytest.raises(ValueError, match="ascending"):
+            state.set_layer(0, [3, 1], [0.1, 0.2])
+        with pytest.raises(ValueError, match="ascending"):
+            state.set_layer(0, [1, 1], [0.1, 0.2])
+        assert state.live_positions(0) == [0]
+
+    def test_feature_merge_exact_tie_goes_to_lower_position(self):
+        # Positions 0 and 5 hold bit-identical keys, so their cosine scores
+        # against the evictee must tie exactly and the lower position wins.
+        rng = np.random.default_rng(3)
+        keys = rng.standard_normal((2, 7, 7))
+        keys[:, 5] = keys[:, 0]
+        keys[:, 3] = keys[:, 0] + 0.01 * rng.standard_normal((2, 7))
+        state = make_state([0.9, 0.8, 0.7, 0.05, 0.6, 0.5, 0.4], range(7), current_len=8,
+                           capacity_n=7, merge_policy="feature", keys=keys)
+        new = rng.standard_normal((2, 7))
+        record = state.decode_step([np.full((2, 8), 1.0 / 8)], [(new, new)])
+        assert record["evicted"] == [{"layer": 0, "pos": 3, "merged_into": 0}]
+        assert state.layer_caches[0][0].merged_from == [3]
 
 
 class TestMerge:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -198,6 +199,36 @@ class TestSimulate:
                     "--prompt-len", "24", "--steps", steps], tmp_path) == 2
 
 
+class TestGoldenOutputs:
+    """Trace-mode ``simulate`` output pinned byte for byte.
+
+    The digests were recorded from the per-entry cache implementation
+    that the array-backed one replaced; any drift in eviction order,
+    merge targets or retained shares changes them.
+    """
+
+    LOG = {
+        "none": "b029cbf22acca7103f7d90f819dccf166e098a359831f626a4cb95cd10fe9f01",
+        "position": "4056e3c332d3fc2d78c1797156dd9bfd1e2f6fa817ba53bd71866cf0bbe93474",
+        "feature": "6bac7d4cf61033a74591d98cbead40dbdb43833749b1522d03c40227d76fb465",
+    }
+    INFO = "1b5a835c167f0ae39e8e86304962c3e0fce7a8f21f1911e0d982682b67ce606a"
+
+    @pytest.mark.parametrize("mode", ["none", "position", "feature"])
+    def test_simulate_digests(self, tmp_path, mode):
+        assert run(["synth", "--layers", "3", "--heads", "2", "--seq", "72",
+                    "--concentration", "0.1,1.0,4.0", "--kv", "--seed", "13",
+                    "--out", "t.json"], tmp_path) == 0
+        assert run(["simulate", "--trace", "t.json", "--budget", "0.3", "--steps", "16",
+                    "--merge", mode, "--protect", "4"], tmp_path) == 0
+
+        def digest(name):
+            return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+        assert digest("sim.jsonl") == self.LOG[mode]
+        assert digest("retained_info.csv") == self.INFO
+
+
 class TestCompare:
     def test_policy_grid(self, tmp_path, dirichlet_trace):
         assert run(["compare", "--budgets", "0.3,0.6",
@@ -279,6 +310,19 @@ class TestManifests:
     def test_replay_rejects_bad_manifest(self, tmp_path):
         (tmp_path / "bad.manifest.json").write_text("{}")
         assert run(["replay", "bad.manifest.json"], tmp_path) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--toy-seed", "1", "--toy-dim", "30", "--budget", "0.3"],
+    ["simulate", "--toy-seed", "1", "--prompt-len", "0", "--budget", "0.3"],
+    ["simulate", "--toy-seed", "1", "--protect", "0", "--budget", "0.3"],
+    ["compare", "--toy-seed", "1", "--decode-len", "0", "--budgets", "0.3"],
+    ["simulate", "--toy-seed", "1", "--steps", "-1", "--budget", "0.3"],
+], ids=["toy-dim", "prompt-len", "protect", "decode-len", "steps"])
+def test_bad_run_values_are_usage_errors(tmp_path, capsys, argv):
+    assert run(argv, tmp_path) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_parse_budget_forms():
