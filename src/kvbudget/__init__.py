@@ -39,6 +39,7 @@ from .errors import (
     KVBudgetError,
     MismatchError,
     ParseError,
+    UsageError,
     ValidationError,
 )
 from .importance import (
@@ -79,6 +80,7 @@ __all__ = [
     "SearchResult",
     "ToyModel",
     "TraceMeta",
+    "UsageError",
     "ValidationError",
     "baseline_config",
     "binary_search",

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetError, MismatchError, ParseError
+from .errors import BudgetError, MismatchError, ParseError, UsageError
 from .importance import PrioritySequence
 from .trace import TraceMeta
 
@@ -105,7 +105,7 @@ def ratio_at_threshold(seq: PrioritySequence, layer: int, p: float) -> float:
     if not 0 <= layer < seq.meta.layers:
         raise IndexError(f"layer {layer} out of range [0, {seq.meta.layers})")
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {p}")
+        raise UsageError(f"threshold must be in [0, 1], got {p}")
     return float(_ratios_at(seq.cumulative[layer : layer + 1], p)[0])
 
 
@@ -186,40 +186,19 @@ def _apportion(quotas: np.ndarray, total: int, lower: int, upper: int) -> np.nda
 
     Largest-remainder rule: floor everything, then hand out the missing
     tokens to the largest fractional remainders (or withdraw from the
-    smallest), skipping layers pinned at a bound. Ties resolve to the
-    lower layer index.
+    smallest), one per layer and pass, skipping layers pinned at a
+    bound. Ties resolve to the lower layer index.
     """
-    L = len(quotas)
     counts = np.clip(np.floor(quotas).astype(np.int64), lower, upper)
     diff = int(total - counts.sum())
-    remainders = quotas - counts
-    indices = np.arange(L)
-    if diff > 0:
-        order = np.lexsort((indices, -remainders))
-        while diff > 0:
-            progressed = False
-            for i in order:
-                if counts[i] < upper:
-                    counts[i] += 1
-                    diff -= 1
-                    progressed = True
-                    if diff == 0:
-                        break
-            if not progressed:
-                raise BudgetError(f"cannot place {total} tokens within bounds [{lower}, {upper}]")
-    elif diff < 0:
-        order = np.lexsort((indices, remainders))
-        while diff < 0:
-            progressed = False
-            for i in order:
-                if counts[i] > lower:
-                    counts[i] -= 1
-                    diff += 1
-                    progressed = True
-                    if diff == 0:
-                        break
-            if not progressed:
-                raise BudgetError(f"cannot place {total} tokens within bounds [{lower}, {upper}]")
+    step, bound = (1, upper) if diff > 0 else (-1, lower)
+    order = np.lexsort((np.arange(len(quotas)), -step * (quotas - counts)))
+    while diff:
+        movable = order[counts[order] != bound][:abs(diff)]
+        if not len(movable):
+            raise BudgetError(f"cannot place {total} tokens within bounds [{lower}, {upper}]")
+        counts[movable] += step
+        diff -= step * len(movable)
     return counts
 
 
@@ -293,13 +272,9 @@ def plan_online(seq: PrioritySequence, budget: BudgetSpec) -> PrefixConfiguratio
 
 def _resample_cumulative(cumulative: np.ndarray, n_star: int) -> np.ndarray:
     """Evaluate an (L, N) cumulative step function on the (j+1)/n_star grid."""
-    L, N = cumulative.shape
-    out = np.zeros((L, n_star))
-    for j in range(n_star):
-        tokens = ((j + 1) * N) // n_star
-        if tokens > 0:
-            out[:, j] = cumulative[:, tokens - 1]
-    return out
+    tokens = (np.arange(1, n_star + 1) * cumulative.shape[1]) // n_star
+    # Column 0 of the padded matrix is the empty prefix.
+    return np.pad(cumulative, ((0, 0), (1, 0)))[:, tokens]
 
 
 def estimate_offline(
@@ -316,9 +291,9 @@ def estimate_offline(
     single search on the pooled curve.
     """
     if not sample_seqs:
-        raise ValueError("offline estimation needs at least one sample")
+        raise UsageError("offline estimation needs at least one sample")
     if method not in OFFLINE_METHODS:
-        raise ValueError(f"unknown offline method {method!r}")
+        raise UsageError(f"unknown offline method {method!r}")
     layer_counts = {seq.meta.layers for seq in sample_seqs}
     if len(layer_counts) != 1:
         raise MismatchError(f"samples disagree on layer count: {sorted(layer_counts)}")
@@ -378,10 +353,10 @@ def baseline_config(
             raw = budget.r + amplitude * (1.0 - 2.0 * position)
     elif kind == "local":
         if sink_count is None or sink_count < 0:
-            raise ValueError("local policy requires a nonnegative sink_count")
+            raise UsageError("local policy requires a nonnegative sink_count")
         raw = np.full(L, budget.r)
     else:
-        raise ValueError(f"unknown baseline kind {kind!r}")
+        raise UsageError(f"unknown baseline kind {kind!r}")
     return _realize(
         raw, budget, meta.seq_len, policy=kind, source="baseline",
         threshold=None, sink_count=sink_count if kind == "local" else None,
@@ -419,9 +394,9 @@ def config_from_dict(doc: dict) -> PrefixConfiguration:
         b = doc["budget"]
         budget = BudgetSpec(
             r=b["r"],
-            delta_tol=b.get("delta_tol", 0.025),
-            max_steps=b.get("max_steps", 32),
-            min_tokens_per_layer=b.get("min_tokens_per_layer", 1),
+            delta_tol=b.get("delta_tol", BudgetSpec.delta_tol),
+            max_steps=b.get("max_steps", BudgetSpec.max_steps),
+            min_tokens_per_layer=b.get("min_tokens_per_layer", BudgetSpec.min_tokens_per_layer),
         )
         threshold = None
         if "p" in doc:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocator import BudgetSpec, PrefixConfiguration, baseline_config
-from .errors import MismatchError, ValidationError
+from .errors import MismatchError, UsageError, ValidationError
 from .importance import ImportanceProfile, compute_importance
 from .toymodel import ToyModel, decode
 from .trace import ROW_SUM_TOL, AttentionTrace, trace_prefix
@@ -164,9 +164,9 @@ class CacheState:
         merge_policy: str = "none",
     ):
         if protect_distance < 1:
-            raise ValueError("protect_distance must be a positive count")
+            raise UsageError("protect_distance must be a positive count")
         if merge_policy not in MERGE_POLICIES:
-            raise ValueError(f"unknown merge policy {merge_policy!r}")
+            raise UsageError(f"unknown merge policy {merge_policy!r}")
         self.config = config
         self.report_profile = profile
         self.protect_distance = int(protect_distance)
@@ -200,15 +200,15 @@ class CacheState:
         positions = np.asarray(positions, dtype=np.int64)
         importance = np.asarray(importance, dtype=float)
         if positions.ndim != 1 or (positions[1:] <= positions[:-1]).any():
-            raise ValueError("positions must be a strictly ascending 1-D sequence")
+            raise UsageError("positions must be a strictly ascending 1-D sequence")
         if importance.shape != positions.shape:
-            raise ValueError("importance must have one value per position")
+            raise UsageError("importance must have one value per position")
         if (keys is None) != (values is None):
-            raise ValueError("pass both keys and values, or neither")
+            raise UsageError("pass both keys and values, or neither")
         if keys is not None:
             keys, values = np.asarray(keys, dtype=float), np.asarray(values, dtype=float)
             if keys.ndim != 3 or keys.shape[1] != len(positions) or values.shape != keys.shape:
-                raise ValueError("keys and values must have shape (heads, positions, dim)")
+                raise UsageError("keys and values must have shape (heads, positions, dim)")
         self._layers[layer] = _LayerCache(positions, importance, keys, values)
 
     def capacity(self, layer: int) -> int:
@@ -393,7 +393,7 @@ def _match(policy: str, position: int, key, positions: np.ndarray, keys) -> int:
         scores = np.full(len(positions), -np.inf)
         np.divide(dots, denom, out=scores, where=denom > 0)
     else:
-        raise ValueError(f"unknown merge policy {policy!r}")
+        raise UsageError(f"unknown merge policy {policy!r}")
     return int(scores.argmax())
 
 
@@ -415,7 +415,7 @@ def merge(policy: str, evictee: CacheEntry, retained: list[CacheEntry]) -> Cache
     applies to its arrays.
     """
     if not retained:
-        raise ValueError("cannot merge into an empty retained set")
+        raise UsageError("cannot merge into an empty retained set")
     ordered = sorted(retained, key=lambda entry: entry.position)
     keys = None
     if policy == "feature":

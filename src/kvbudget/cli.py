@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .allocator import (
+    POLICIES,
     BudgetSpec,
     baseline_config,
     estimate_offline,
@@ -32,21 +33,19 @@ from .allocator import (
     save_config,
 )
 from .cachesim import (
+    DEFAULT_PROTECT_DISTANCE,
+    MERGE_POLICIES,
     disturbance,
     full_cache_state,
     prefill_compress,
     replay_steps,
     retained_info,
 )
-from .errors import BudgetError, KVBudgetError, ParseError, ValidationError
+from .errors import BudgetError, KVBudgetError, ParseError, UsageError, ValidationError
 from .importance import compute_importance, priority_sequence
 from .lorenz import layer_stats
 from .toymodel import ToyModel, decode, forward_trace
 from .trace import AttentionTrace, load_trace, save_trace, synth_trace, trace_prefix
-
-
-class UsageError(KVBudgetError):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,11 +121,11 @@ def _budget_from_args(args: argparse.Namespace, r: float) -> BudgetSpec:
 
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
     """The search and floor settings of a BudgetSpec; the ratio flags differ per command."""
-    parser.add_argument("--delta-tol", type=float, default=0.025,
+    parser.add_argument("--delta-tol", type=float, default=BudgetSpec.delta_tol,
                         help="termination threshold on the budget difference")
-    parser.add_argument("--max-steps", type=int, default=32)
+    parser.add_argument("--max-steps", type=int, default=BudgetSpec.max_steps)
     parser.add_argument("--min-per-layer", "--layers-min", dest="min_per_layer",
-                        type=int, default=1,
+                        type=int, default=BudgetSpec.min_tokens_per_layer,
                         help="minimum retained tokens per layer")
 
 
@@ -140,23 +139,15 @@ def _add_toy_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _check_run_flags(args: argparse.Namespace) -> None:
-    """Reject toy-model and cache settings the library would refuse, before any work."""
-    if args.protect < 1:
-        raise UsageError("--protect must be at least 1")
+    """Reject run settings the library never receives; it refuses bad sizes itself."""
     if args.steps < 0:
         raise UsageError("--steps must not be negative")
-    if args.toy_seed is None:
-        return
-    for flag in ("toy_layers", "toy_heads", "toy_dim", "toy_vocab", "prompt_len"):
-        if getattr(args, flag) < 1:
-            raise UsageError(f"--{flag.replace('_', '-')} must be at least 1")
-    if args.toy_dim % args.toy_heads:
-        raise UsageError(f"--toy-dim {args.toy_dim} must be divisible by "
-                         f"--toy-heads {args.toy_heads}")
 
 
 def _prompt_trace(model: ToyModel, prompt_len: int) -> AttentionTrace:
     """Forward trace of the seeded prompt a toy model is measured on."""
+    if prompt_len < 1:
+        raise UsageError(f"prompt length must be at least 1, got {prompt_len}")
     prompt = np.random.default_rng(model.seed).integers(0, model.vocab, size=prompt_len)
     return forward_trace(model, prompt)
 
@@ -222,13 +213,12 @@ def run_synth(args: argparse.Namespace) -> list[str]:
     if args.seed is None:
         args.seed = _default_seed()
     if args.mode == "dirichlet":
-        values = [float(v) for v in str(args.concentration).split(",") if v.strip()]
+        try:
+            values = [float(v) for v in str(args.concentration).split(",") if v.strip()]
+        except ValueError as exc:
+            raise UsageError(f"cannot parse --concentration {args.concentration!r}") from exc
         if len(values) == 1:
             values = values * args.layers
-        if len(values) != args.layers:
-            raise UsageError(
-                f"--concentration needs 1 or {args.layers} values, got {len(values)}"
-            )
         args.concentration = ",".join(repr(v) for v in values)
         trace = synth_trace(args.layers, args.heads, args.seq, values,
                             seed=args.seed, with_kv=args.kv, label=args.label)
@@ -276,18 +266,15 @@ def run_plan(args: argparse.Namespace) -> list[str]:
     traces = [load_trace(p) for p in args.traces]
     if args.prefill is not None:
         traces = [trace_prefix(t, args.prefill) for t in traces]
-    if args.policy != "prefixkv":
-        if len(traces) != 1:
-            raise UsageError("baseline policies plan from exactly one trace")
-        config = baseline_config(args.policy, budget, traces[0].meta,
-                                 sink_count=args.sink if args.policy == "local" else None)
-    elif args.offline:
+    if args.offline and args.policy == "prefixkv":
         seqs = [priority_sequence(compute_importance(t)) for t in traces]
         config = estimate_offline(seqs, budget, method=args.method)
+    elif len(traces) != 1:
+        raise UsageError("baseline and online planning take exactly one trace; "
+                         "pass --offline with prefixkv for several")
     else:
-        if len(traces) != 1:
-            raise UsageError("online planning takes exactly one trace; pass --offline for several")
-        config = plan_online(priority_sequence(compute_importance(traces[0])), budget)
+        run = _Run(traces[0], traces[0].meta.seq_len, None)
+        config = run.plan(args.policy, budget, args.sink)
     save_config(config, args.out)
     outputs = [args.out]
     _write_manifest("plan", args, list(args.traces), outputs)
@@ -381,8 +368,8 @@ def run_compare(args: argparse.Namespace) -> list[str]:
     if (args.traces is None or not args.traces) == (args.toy_seed is None):
         raise UsageError("pass trace files or --toy-seed, not both")
     _check_run_flags(args)
-    if args.toy_seed is not None and (args.decode_len < 1 or args.runs < 1):
-        raise UsageError("--decode-len and --runs must be at least 1")
+    if args.toy_seed is not None and args.runs < 1:
+        raise UsageError("--runs must be at least 1")
 
     header = ["budget", "policy", "merge", "min_retained_info", "mean_retained_info"]
     if args.toy_seed is not None:
@@ -473,8 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="derive a prefix configuration for a budget")
     p.add_argument("--budget", required=True, help=BUDGET_HELP)
     _add_budget_flags(p)
-    p.add_argument("--policy", choices=["prefixkv", "uniform", "pyramid", "local"],
-                   default="prefixkv")
+    p.add_argument("--policy", choices=POLICIES, default="prefixkv")
     p.add_argument("--sink", type=int, default=4, help="sink positions for the local policy")
     p.add_argument("--offline", action="store_true",
                    help="estimate one configuration from several sample traces")
@@ -490,14 +476,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--budget", default=None, help=BUDGET_HELP)
     _add_budget_flags(p)
-    p.add_argument("--policy", choices=["prefixkv", "uniform", "pyramid", "local"],
-                   default="prefixkv")
+    p.add_argument("--policy", choices=POLICIES, default="prefixkv")
     p.add_argument("--sink", type=int, default=4)
     p.add_argument("--trace", default=None)
     _add_toy_flags(p)
     p.add_argument("--steps", type=int, default=32)
-    p.add_argument("--merge", choices=["none", "position", "feature"], default="none")
-    p.add_argument("--protect", type=int, default=10)
+    p.add_argument("--merge", choices=MERGE_POLICIES, default="none")
+    p.add_argument("--protect", type=int, default=DEFAULT_PROTECT_DISTANCE)
     p.add_argument("--disturb", action="store_true",
                    help="also measure feature disturbance (toy mode)")
     p.add_argument("--out-log", default="sim.jsonl")
@@ -511,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--merge", default="none")
     _add_budget_flags(p)
     p.add_argument("--sink", type=int, default=4)
-    p.add_argument("--protect", type=int, default=10)
+    p.add_argument("--protect", type=int, default=DEFAULT_PROTECT_DISTANCE)
     p.add_argument("--steps", type=int, default=0,
                    help="replayed decode steps per trace")
     _add_toy_flags(p)

@@ -1,12 +1,16 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: parse/validation failures are exit 2,
-infeasible budgets exit 3.
+The CLI maps these onto exit codes: usage errors exit 1, parse/validation
+failures exit 2, infeasible budgets exit 3.
 """
 
 
 class KVBudgetError(Exception):
     """Base class for all library errors."""
+
+
+class UsageError(KVBudgetError, ValueError):
+    """An argument value is refused (a bad size, count or policy name)."""
 
 
 class ParseError(KVBudgetError):

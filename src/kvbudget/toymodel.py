@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import MismatchError
+from .errors import MismatchError, UsageError
 from .trace import AttentionTrace, TraceMeta
 
 if TYPE_CHECKING:
@@ -39,8 +39,13 @@ class ToyModel:
 
     def __init__(self, layers: int = 8, heads: int = 4, dim: int = 64,
                  vocab: int = 256, seed: int = 0):
+        for name, size in (("layers", layers), ("heads", heads), ("dim", dim), ("vocab", vocab)):
+            if size < 1:
+                raise UsageError(f"{name} must be at least 1, got {size}")
         if dim % heads != 0:
-            raise ValueError(f"dim {dim} must be divisible by heads {heads}")
+            raise UsageError(f"dim {dim} must be divisible by heads {heads}")
+        if seed < 0:
+            raise UsageError(f"seed must be nonnegative, got {seed}")
         self.layers = layers
         self.heads = heads
         self.dim = dim
@@ -73,10 +78,10 @@ class ToyModel:
 
     def _check_ids(self, ids: np.ndarray) -> None:
         if ids.ndim != 1 or len(ids) == 0:
-            raise ValueError("token ids must form a non-empty 1-D sequence")
+            raise UsageError("token ids must form a non-empty 1-D sequence")
         if np.any(ids < 0) or np.any(ids >= self.vocab):
             bad = ids[(ids < 0) | (ids >= self.vocab)][0]
-            raise ValueError(f"token id {bad} outside vocabulary of size {self.vocab}")
+            raise UsageError(f"token id {bad} outside vocabulary of size {self.vocab}")
 
 
 def _forward(model: ToyModel, ids: np.ndarray):
@@ -150,7 +155,7 @@ def decode(
     features at every layer.
     """
     if steps < 1:
-        raise ValueError("decode needs at least one step")
+        raise UsageError("decode needs at least one step")
     if trace.features is None:
         raise MismatchError("decode continues from a forward trace with features")
     if state.current_len != trace.meta.seq_len:
@@ -158,7 +163,7 @@ def decode(
             f"cache holds {state.current_len} positions but prompt has {trace.meta.seq_len}"
         )
     if forced_tokens is not None and len(forced_tokens) < steps:
-        raise ValueError("forced_tokens must cover every decode step")
+        raise UsageError("forced_tokens must cover every decode step")
 
     L, H, hd = model.layers, model.heads, model.head_dim
     # The first generated token comes from the prompt's final logits,

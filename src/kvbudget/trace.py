@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, UsageError, ValidationError
 
 # Row sums of serialized attention must match 1 within this tolerance.
 ROW_SUM_TOL = 1e-6
@@ -171,9 +171,11 @@ def synth_trace(
     """
     conc = np.asarray(concentration, dtype=float)
     if conc.shape != (layers,):
-        raise ValueError(f"concentration must have length {layers}, got shape {conc.shape}")
+        raise UsageError(f"concentration must have length {layers}, got shape {conc.shape}")
     if np.any(conc <= 0):
-        raise ValueError("concentration values must be positive")
+        raise UsageError("concentration values must be positive")
+    if seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {seed}")
 
     meta = TraceMeta(layers=int(layers), heads=int(heads), seq_len=int(seq_len), label=label, seed=int(seed))
     rng = np.random.default_rng(seed)

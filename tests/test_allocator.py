@@ -22,6 +22,7 @@ from kvbudget import (
     TraceMeta,
 )
 
+from kvbudget.allocator import _apportion, _resample_cumulative
 from conftest import seq_from_importance
 
 
@@ -248,6 +249,53 @@ class TestFinalize:
             )
             assert config.token_counts.tolist() == reference.token_counts.tolist()
             done += 1
+
+
+class TestApportion:
+    """Largest-remainder rounding: floor, then move one token per layer per pass."""
+
+    def test_hands_out_to_largest_remainders(self):
+        assert _apportion(np.array([1.2, 2.7, 0.5]), 5, 0, 10).tolist() == [1, 3, 1]
+        assert _apportion(np.array([1.2, 2.7, 0.5]), 6, 0, 10).tolist() == [2, 3, 1]
+
+    def test_withdraws_from_smallest_remainders_above_lower(self):
+        # Layers 0 and 2 sit at the lower bound, so only layer 1 can give.
+        assert _apportion(np.array([0.5, 3.9, 2.1]), 6, 2, 10).tolist() == [2, 2, 2]
+
+    def test_ties_go_to_lower_layer(self):
+        assert _apportion(np.array([1.5, 1.5]), 3, 0, 5).tolist() == [2, 1]
+        assert _apportion(np.array([3.5, 3.5]), 5, 0, 3).tolist() == [2, 3]
+
+    def test_multi_pass_up_and_down(self):
+        assert _apportion(np.zeros(3), 7, 0, 5).tolist() == [3, 2, 2]
+        assert _apportion(np.array([0.0, 0.9, 0.0]), 10, 0, 4).tolist() == [3, 4, 3]
+        assert _apportion(np.full(3, 9.0), 5, 1, 4).tolist() == [1, 2, 2]
+
+    def test_bounds_and_total_hold_on_random_quotas(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            L = int(rng.integers(1, 7))
+            lower = int(rng.integers(0, 3))
+            upper = lower + int(rng.integers(0, 6))
+            quotas = rng.uniform(-2.0, upper + 3.0, size=L)
+            total = int(rng.integers(L * lower, L * upper + 1))
+            counts = _apportion(quotas, total, lower, upper)
+            assert counts.sum() == total
+            assert counts.min() >= lower and counts.max() <= upper
+
+    def test_infeasible_total(self):
+        with pytest.raises(BudgetError, match="cannot place 10 tokens"):
+            _apportion(np.ones(2), 10, 0, 3)
+        with pytest.raises(BudgetError, match="cannot place 1 tokens"):
+            _apportion(np.full(2, 2.0), 1, 1, 4)
+
+
+def test_resample_cumulative_steps_onto_grid():
+    cumulative = np.array([[0.5, 0.8, 1.0], [0.2, 0.6, 1.0]])
+    assert _resample_cumulative(cumulative, 3).tolist() == cumulative.tolist()
+    assert _resample_cumulative(cumulative, 6).tolist() == [
+        [0.0, 0.5, 0.5, 0.8, 0.8, 1.0], [0.0, 0.2, 0.2, 0.6, 0.6, 1.0]]
+    assert _resample_cumulative(cumulative, 2).tolist() == [[0.5, 1.0], [0.2, 1.0]]
 
 
 class TestOffline:

@@ -312,14 +312,42 @@ class TestManifests:
         assert run(["replay", "bad.manifest.json"], tmp_path) == 2
 
 
+@pytest.fixture(scope="module")
+def input_trace(tmp_path_factory):
+    """A small trace kept outside the directory the refused commands run in."""
+    path = tmp_path_factory.mktemp("input") / "t.json"
+    assert run(["synth", "--layers", "2", "--seq", "24", "--kv", "--seed", "1",
+                "--out", str(path)], path.parent) == 0
+    return str(path)
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--toy-seed", "1", "--toy-dim", "30", "--budget", "0.3"],
     ["simulate", "--toy-seed", "1", "--prompt-len", "0", "--budget", "0.3"],
     ["simulate", "--toy-seed", "1", "--protect", "0", "--budget", "0.3"],
     ["compare", "--toy-seed", "1", "--decode-len", "0", "--budgets", "0.3"],
     ["simulate", "--toy-seed", "1", "--steps", "-1", "--budget", "0.3"],
-], ids=["toy-dim", "prompt-len", "protect", "decode-len", "steps"])
-def test_bad_run_values_are_usage_errors(tmp_path, capsys, argv):
+    ["compare", "--budgets", "0.3", "--policies", "foo", "TRACE"],
+    ["compare", "--budgets", "0.3", "--merge", "bogus", "TRACE"],
+    ["plan", "--budget", "0.3", "--policy", "local", "--sink", "-1", "TRACE"],
+    ["simulate", "--trace", "TRACE", "--steps", "4", "--budget", "0.3",
+     "--policy", "local", "--sink", "-1"],
+    ["compare", "--budgets", "0.3", "--policies", "local", "--sink", "-1", "TRACE"],
+    ["synth", "--concentration", "0", "--out", "t.json"],
+    ["synth", "--mode", "toy", "--heads", "0", "--out", "t.json"],
+    ["synth", "--mode", "toy", "--vocab", "0", "--out", "t.json"],
+    ["synth", "--mode", "toy", "--dim", "0", "--out", "t.json"],
+    ["synth", "--mode", "toy", "--dim", "8", "--heads", "3", "--out", "t.json"],
+    ["synth", "--concentration", "abc", "--out", "t.json"],
+    ["synth", "--mode", "toy", "--seq", "-1", "--out", "t.json"],
+    ["synth", "--seed", "-1", "--out", "t.json"],
+    ["simulate", "--toy-seed", "-1", "--budget", "0.3"],
+], ids=["toy-dim", "prompt-len", "protect", "decode-len", "steps",
+        "compare-policy", "compare-merge", "plan-sink", "simulate-sink", "compare-sink",
+        "synth-concentration", "toy-heads", "toy-vocab", "toy-dim-zero", "toy-divisibility",
+        "concentration-text", "toy-seq", "synth-seed", "toy-seed"])
+def test_bad_run_values_are_usage_errors(tmp_path, capsys, input_trace, argv):
+    argv = [input_trace if arg == "TRACE" else arg for arg in argv]
     assert run(argv, tmp_path) == 1
     assert "usage error:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

@@ -15,6 +15,7 @@ from kvbudget import (
     prefill_compress,
     priority_sequence,
     synth_trace,
+    UsageError,
 )
 
 
@@ -54,6 +55,11 @@ class TestForwardTrace:
     def test_dim_head_divisibility(self):
         with pytest.raises(ValueError, match="divisible"):
             ToyModel(dim=30, heads=4)
+
+    @pytest.mark.parametrize("size", ["layers", "heads", "dim", "vocab"])
+    def test_zero_size_is_usage_error(self, size):
+        with pytest.raises(UsageError, match=f"{size} must be at least 1"):
+            ToyModel(**{size: 0})
 
     def test_layers_span_dispersed_to_concentrated(self):
         model = ToyModel(seed=3)
