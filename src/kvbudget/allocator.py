@@ -143,7 +143,6 @@ def _search(cumulative: np.ndarray, budget: BudgetSpec) -> SearchResult:
         # Full budget retains everything; no search necessary.
         return SearchResult(p=1.0, steps=0, delta_final=0.0, converged=True)
 
-    candidates = np.unique(cumulative)
     steps = 0
     # Best-so-far keyed by |delta|, preferring under-budget on ties so the
     # later scale-up only ever grows prefixes.
@@ -169,11 +168,16 @@ def _search(cumulative: np.ndarray, budget: BudgetSpec) -> SearchResult:
             p1 = p
         else:
             p2 = p
-        lo = np.searchsorted(candidates, p1, side="right")
-        hi = np.searchsorted(candidates, p2, side="left")
-        if hi - lo <= 1:
-            if hi - lo == 1 and steps < budget.max_steps:
-                v = float(candidates[lo])
+        # Ratios only change at cumulative values: find the first one above
+        # p1 and the last one below p2, over all layers.
+        above, below = np.inf, -np.inf
+        for row in cumulative:
+            i, j = np.searchsorted(row, p1, side="right"), np.searchsorted(row, p2, side="left")
+            above = min(above, row[i]) if i < N else above
+            below = max(below, row[j - 1]) if j else below
+        if above >= p2 or above == below:
+            if above == below and steps < budget.max_steps:
+                v = float(above)
                 delta_v = evaluate(v)
                 if delta_v == 0.0 or abs(delta_v) <= budget.delta_tol:
                     return SearchResult(p=v, steps=steps, delta_final=delta_v, converged=True)

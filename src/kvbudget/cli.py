@@ -55,7 +55,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _default_seed() -> int:
     env = os.environ.get("KVBUDGET_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError as exc:
+        raise UsageError(f"KVBUDGET_SEED must be an integer, got {env!r}") from exc
 
 
 def parse_budget(value) -> float:
@@ -525,7 +528,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
-    except KVBudgetError as exc:
+    except (KVBudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,7 @@ be processed independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,17 +36,21 @@ class ImportanceProfile:
 
 @dataclass(frozen=True)
 class PrioritySequence:
-    """Descending-importance ordering with cumulative priorities.
+    """Cumulative priorities, plus a lazy diagnostic ordering.
 
-    ``order[l]`` is a permutation of positions sorted by decreasing
-    normalized importance (ties broken by ascending position);
     ``cumulative[l][j]`` is the total importance share captured by the
-    top ``j + 1`` positions.
+    top ``j + 1`` positions. ``order[l]``, the positions by decreasing
+    normalized importance (ties to the lower position), is computed only
+    on first access; planning never reads it.
     """
 
     meta: TraceMeta
-    order: np.ndarray
+    normalized: np.ndarray
     cumulative: np.ndarray
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        return np.argsort(-self.normalized, axis=1, kind="stable")
 
 
 def compute_importance(trace: AttentionTrace) -> ImportanceProfile:
@@ -59,6 +64,10 @@ def compute_importance(trace: AttentionTrace) -> ImportanceProfile:
     else:
         raw = trace.importance.copy()
     totals = raw.sum(axis=1)
+    if not np.all(np.isfinite(totals)):
+        layer = int(np.argwhere(~np.isfinite(totals))[0][0])
+        raise DegenerateLayerError(
+            f"layer {layer} has non-finite importance total {totals[layer]}")
     if np.any(totals <= 0.0):
         layer = int(np.argwhere(totals <= 0.0)[0][0])
         raise DegenerateLayerError(f"layer {layer} has all-zero importance")
@@ -69,10 +78,8 @@ def compute_importance(trace: AttentionTrace) -> ImportanceProfile:
 def priority_sequence(profile: ImportanceProfile) -> PrioritySequence:
     """Sort each layer's normalized importance descending and accumulate.
 
-    The stable sort on negated values makes ties resolve to the lower
-    original position, so the ordering is deterministic.
+    A value sort suffices: tied shares are equal, so the running sums do
+    not depend on which tied position comes first.
     """
-    order = np.argsort(-profile.normalized, axis=1, kind="stable")
-    ranked = np.take_along_axis(profile.normalized, order, axis=1)
-    cumulative = np.cumsum(ranked, axis=1)
-    return PrioritySequence(meta=profile.meta, order=order, cumulative=cumulative)
+    cumulative = np.cumsum(np.sort(profile.normalized, axis=1)[:, ::-1], axis=1)
+    return PrioritySequence(profile.meta, profile.normalized, cumulative)

@@ -83,6 +83,7 @@ class AttentionTrace:
                 raise ValidationError(
                     f"attention has shape {att.shape}, expected {(L, H, N, N)}"
                 )
+            _check_finite("attention", att)
             if np.any(att < 0):
                 l, h, m, n = np.argwhere(att < 0)[0]
                 raise ValidationError(
@@ -108,6 +109,7 @@ class AttentionTrace:
             imp = self.importance
             if imp.shape != (L, N):
                 raise ValidationError(f"importance has shape {imp.shape}, expected {(L, N)}")
+            _check_finite("importance", imp)
             if np.any(imp < 0):
                 l, n = np.argwhere(imp < 0)[0]
                 raise ValidationError(f"negative importance at layer {l} position {n}")
@@ -123,11 +125,22 @@ class AttentionTrace:
                 raise ValidationError(
                     f"values shape {self.values.shape} differs from keys shape {self.keys.shape}"
                 )
+            _check_finite("keys", self.keys)
+            _check_finite("values", self.values)
         if self.features is not None:
             if self.features.ndim != 3 or self.features.shape[:2] != (L, N):
                 raise ValidationError(
                     f"features have shape {self.features.shape}, expected (L, N, f) = ({L}, {N}, f)"
                 )
+            _check_finite("features", self.features)
+
+
+def _check_finite(name: str, array: np.ndarray) -> None:
+    """Raise ValidationError naming the first NaN or infinite entry of ``array``."""
+    bad = ~np.isfinite(array)
+    if np.any(bad):
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValidationError(f"non-finite {name} value {array[index]} at index {index}")
 
 
 def trace_prefix(trace: AttentionTrace, n: int) -> AttentionTrace:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvbudget import (
     BudgetError,
@@ -20,9 +22,10 @@ from kvbudget import (
     save_config,
     synth_trace,
     TraceMeta,
+    layer_stats,
 )
 
-from kvbudget.allocator import _apportion, _resample_cumulative
+from kvbudget.allocator import _apportion, _ratios_at, _resample_cumulative
 from conftest import seq_from_importance
 
 
@@ -51,6 +54,47 @@ def scan_threshold_oracle(cumulative, r):
         if best is None or key < best[0]:
             best = (key, c)
     return best[1]
+
+
+def unique_bracket_search(cumulative, budget):
+    """The search as it stood with a sorted union of all cumulative values.
+
+    It stops once at most one candidate lies strictly inside (p1, p2),
+    evaluating that one if there is exactly one.
+    """
+    L, _ = cumulative.shape
+    target = budget.r * L
+    if budget.r == 1.0:
+        return SearchResult(p=1.0, steps=0, delta_final=0.0, converged=True)
+    candidates = np.unique(cumulative)
+    evaluated = []
+
+    def evaluate(p):
+        delta = float(_ratios_at(cumulative, p).sum() - target)
+        evaluated.append((abs(delta), 0 if delta < 0 else 1, len(evaluated), p, delta))
+        return delta
+
+    def done(p, delta):
+        return SearchResult(p=p, steps=len(evaluated), delta_final=delta, converged=True)
+
+    p1, p2 = 0.0, 1.0
+    while len(evaluated) < budget.max_steps:
+        p = (p1 + p2) / 2.0
+        delta = evaluate(p)
+        if abs(delta) <= budget.delta_tol:
+            return done(p, delta)
+        p1, p2 = (p, p2) if delta < 0.0 else (p1, p)
+        lo = np.searchsorted(candidates, p1, side="right")
+        hi = np.searchsorted(candidates, p2, side="left")
+        if hi - lo <= 1:
+            if hi - lo == 1 and len(evaluated) < budget.max_steps:
+                v = float(candidates[lo])
+                delta_v = evaluate(v)
+                if abs(delta_v) <= budget.delta_tol:
+                    return done(v, delta_v)
+            break
+    *_, p, delta = min(evaluated)
+    return SearchResult(p=p, steps=len(evaluated), delta_final=delta, converged=False)
 
 
 def random_seq(rng, layers=(2, 8), tokens=(8, 64)):
@@ -135,6 +179,25 @@ class TestBinarySearch:
                 continue
             result = binary_search(seq, BudgetSpec(r=r, delta_tol=0.025))
             assert result.steps <= math.ceil(math.log2(L * N)) + 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        raw=st.integers(1, 5).flatmap(lambda L: st.integers(1, 24).flatmap(
+            lambda N: st.lists(st.lists(st.integers(0, 4), min_size=N, max_size=N),
+                               min_size=L, max_size=L))),
+        r=st.floats(0.01, 1.0),
+        delta_tol=st.sampled_from([0.0, 0.0, 1e-3, 0.025, 0.1]),
+        max_steps=st.integers(1, 12),
+    )
+    def test_matches_unique_bracket_search(self, raw, r, delta_tol, max_steps):
+        # Tie-heavy integer importance puts many equal cumulative values in
+        # and across layers, where the per-layer bracket must still agree
+        # with the search over the sorted union of all values.
+        raw = np.asarray(raw, dtype=float)
+        raw[:, 0] += 1.0
+        seq = seq_from_importance(raw)
+        budget = BudgetSpec(r=r, delta_tol=delta_tol, max_steps=max_steps)
+        assert binary_search(seq, budget) == unique_bracket_search(seq.cumulative, budget)
 
 
 class TestFinalize:
@@ -408,3 +471,17 @@ def test_config_round_trip(tmp_path, two_layer_seq):
     assert back.budget == config.budget
     assert back.threshold == config.threshold
     assert back.policy == config.policy
+
+
+def test_planning_never_builds_the_order_permutation():
+    rng = np.random.default_rng(8)
+    seqs = [random_seq(rng, layers=(3, 4), tokens=(24, 40)) for _ in range(2)]
+    budget = BudgetSpec(r=0.4)
+    for seq in seqs:
+        plan_online(seq, budget)
+        layer_stats(seq)
+    for method in ("per-sample-mean", "pooled-curve"):
+        estimate_offline(seqs, budget, method=method)
+    assert all("order" not in vars(seq) for seq in seqs)
+    assert seqs[0].order.shape == seqs[0].cumulative.shape
+    assert "order" in vars(seqs[0])

@@ -66,6 +66,12 @@ class TestSynth:
             tmp_path)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_non_integer_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("KVBUDGET_SEED", "abc")
+        assert run(["synth", "--layers", "1", "--seq", "8", "--out", "a.json"], tmp_path) == 1
+        assert "usage error: KVBUDGET_SEED" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestAnalyze:
     def test_uniform_importance_gives_zero_gini(self, tmp_path):
@@ -350,6 +356,40 @@ def test_bad_run_values_are_usage_errors(tmp_path, capsys, input_trace, argv):
     argv = [input_trace if arg == "TRACE" else arg for arg in argv]
     assert run(argv, tmp_path) == 1
     assert "usage error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.fixture(scope="module")
+def nan_trace(tmp_path_factory):
+    """A two-layer trace with one NaN attention entry on the diagonal."""
+    attention = [[[[1.0, 0.0], [0.6, 0.4]]], [[[1.0, 0.0], [0.5, float("nan")]]]]
+    path = tmp_path_factory.mktemp("input") / "nan.json"
+    path.write_text(json.dumps({"meta": {"layers": 2, "heads": 1, "seq_len": 2},
+                                "attention": attention}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--budget", "0.5", "TRACE"],
+    ["analyze", "TRACE"],
+], ids=["plan", "analyze"])
+def test_non_finite_trace_is_validation_error(tmp_path, capsys, nan_trace, argv):
+    argv = [nan_trace if arg == "TRACE" else arg for arg in argv]
+    assert run(argv, tmp_path) == 2
+    assert "error: non-finite attention value nan at index (1, 0, 1, 1)" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--budget", "0.5", "missing.json"],
+    ["analyze", "missing.json"],
+    ["plan", "--budget", "0.5", "--out", "missing/config.json", "TRACE"],
+], ids=["plan-input", "analyze-input", "plan-output"])
+def test_unreadable_or_unwritable_paths_exit_2(tmp_path, capsys, input_trace, argv):
+    argv = [input_trace if arg == "TRACE" else arg for arg in argv]
+    assert run(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing" in err
     assert not list(tmp_path.iterdir())
 
 

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kvbudget import (
+    AttentionTrace,
     DegenerateLayerError,
+    TraceMeta,
     compute_importance,
     priority_sequence,
 )
@@ -60,6 +62,14 @@ class TestComputeImportance:
         with pytest.raises(DegenerateLayerError, match="layer 1"):
             compute_importance(shortcut_trace([[1.0, 2.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_total_raises(self, bad):
+        # An unvalidated trace can still carry a NaN or an infinity.
+        raw = np.array([[1.0, 2.0], [3.0, bad]])
+        trace = AttentionTrace(meta=TraceMeta(layers=2, heads=1, seq_len=2), importance=raw)
+        with pytest.raises(DegenerateLayerError, match="layer 1 has non-finite"):
+            compute_importance(trace)
+
     def test_shortcut_copies_raw(self):
         profile = compute_importance(shortcut_trace([[3.0, 1.0]]))
         assert profile.raw.tolist() == [[3.0, 1.0]]
@@ -112,3 +122,22 @@ class TestPrioritySequence:
         scaled = priority_sequence(compute_importance(shortcut_trace(raw * scale)))
         assert np.array_equal(base.order, scaled.order)
         assert np.allclose(base.cumulative, scaled.cumulative, atol=1e-12, rtol=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        raw=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.integers(1, 40)),
+            elements=st.integers(0, 3).map(float),
+        )
+    )
+    def test_cumulative_matches_stable_argsort_gather(self, raw):
+        # Few distinct values make ties the rule; the value sort must give
+        # the same bits as summing along the stable position-tie-broken order.
+        raw[:, 0] += 1.0
+        normalized = compute_importance(shortcut_trace(raw)).normalized
+        order = np.argsort(-normalized, axis=1, kind="stable")
+        expected = np.cumsum(np.take_along_axis(normalized, order, axis=1), axis=1)
+        seq = priority_sequence(compute_importance(shortcut_trace(raw)))
+        assert np.array_equal(seq.cumulative, expected)
+        assert np.array_equal(seq.order, order)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,14 @@ class TestLoad:
     def test_negative_importance_rejected(self, tmp_path):
         doc = {"meta": {"layers": 1, "heads": 1, "seq_len": 2}, "importance": [[1.0, -0.1]]}
         with pytest.raises(ValidationError, match="negative importance"):
+            load_trace(write_doc(tmp_path, doc))
+
+
+    def test_nan_literal_rejected_with_index(self, tmp_path):
+        # json.loads accepts NaN; NaN fails every comparison the other checks make.
+        doc = minimal_doc([[1.0, 0.0], [float("nan"), 0.4]])
+        message = "non-finite attention value nan at index (0, 0, 1, 0)"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             load_trace(write_doc(tmp_path, doc))
 
 
@@ -202,3 +211,20 @@ def test_validate_checks_kv_consistency():
 def test_full_trace_helper_rejects_bad_rows():
     with pytest.raises(ValidationError):
         full_trace([[0.5, 0.5], [0.6, 0.4]])
+
+
+@pytest.mark.parametrize("field", ["attention", "importance", "keys", "values", "features"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_rejects_non_finite_values(field, bad):
+    trace = synth_trace(2, 1, 4, [1.0, 1.0], seed=0, with_kv=True)
+    if field == "importance":
+        arrays = {"importance": compute_importance(trace).raw}
+    else:
+        arrays = {"attention": trace.attention.copy(), "keys": trace.keys.copy(),
+                  "values": trace.values.copy(), "features": np.zeros((2, 4, 3))}
+    index = (1,) + (0,) * (arrays[field].ndim - 2) + (2,)
+    arrays[field][index] = bad
+    broken = type(trace)(meta=trace.meta, **arrays)
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"non-finite {field} value {bad} at index {index}")):
+        broken.validate()
