@@ -39,6 +39,7 @@ from .errors import (
     KVBudgetError,
     MismatchError,
     ParseError,
+    TraceTooLargeError,
     UsageError,
     ValidationError,
 )
@@ -51,6 +52,8 @@ from .importance import (
 from .lorenz import LayerStats, LorenzCurve, gini, layer_stats, lorenz_curve
 from .toymodel import ToyModel, decode, forward_trace
 from .trace import (
+    MAX_JSON_BYTES,
+    MAX_TRACE_ELEMENTS,
     AttentionTrace,
     TraceMeta,
     load_trace,
@@ -62,6 +65,8 @@ from .trace import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "MAX_JSON_BYTES",
+    "MAX_TRACE_ELEMENTS",
     "AttentionTrace",
     "BudgetError",
     "BudgetSpec",
@@ -80,6 +85,7 @@ __all__ = [
     "SearchResult",
     "ToyModel",
     "TraceMeta",
+    "TraceTooLargeError",
     "UsageError",
     "ValidationError",
     "baseline_config",

@@ -15,6 +15,7 @@ over samples in fixed index order so results are reproducible.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -393,7 +394,36 @@ def config_to_dict(config: PrefixConfiguration) -> dict:
     return doc
 
 
+# Configuration fields that hold counts; every other number is a finite real.
+_COUNT_FIELDS = ("max_steps", "min_tokens_per_layer", "seq_len", "steps", "samples",
+                 "sink_count", "token_counts")
+
+
+def _check_numbers(doc: dict) -> None:
+    """Refuse numeric fields of the wrong JSON type before they are used.
+
+    Counts must be integers and the other numbers finite; ``true`` and
+    ``false`` are neither, though Python would take them as 1 and 0.
+    """
+    budget = doc["budget"] if isinstance(doc.get("budget"), dict) else {}
+    fields = [(f"budget.{k}", k, budget[k])
+              for k in ("r", "delta_tol", "max_steps", "min_tokens_per_layer") if k in budget]
+    fields += [(k, k, doc[k]) for k in ("seq_len", "p", "steps", "delta_final", "samples",
+                                        "sink_count") if doc.get(k) is not None]
+    for k in ("ratios", "token_counts"):
+        if isinstance(doc.get(k), list):
+            fields += [(f"{k}[{i}]", k, v) for i, v in enumerate(doc[k])]
+    for name, key, value in fields:
+        count = key in _COUNT_FIELDS
+        if isinstance(value, bool) or not isinstance(value, int if count else (int, float)):
+            kind = "an integer" if count else "a number"
+            raise ParseError(f"field '{name}' must be {kind}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParseError(f"field '{name}' must be finite, got {value!r}")
+
+
 def config_from_dict(doc: dict) -> PrefixConfiguration:
+    _check_numbers(doc)
     try:
         b = doc["budget"]
         budget = BudgetSpec(

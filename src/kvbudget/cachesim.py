@@ -327,13 +327,16 @@ def prefill_compress(
     config: PrefixConfiguration,
     protect_distance: int = DEFAULT_PROTECT_DISTANCE,
     merge_policy: str = "none",
+    profile: ImportanceProfile | None = None,
 ) -> CacheState:
     """Evict down to the configured per-layer counts right after prefill.
 
     Importance-driven policies keep the highest-importance positions
     (ties to the lower position); the local policy keeps ``sink_count``
     earliest positions plus the most recent remainder. Accumulators are
-    seeded with the prefill raw importance.
+    seeded with the prefill raw importance: ``profile`` when given (it
+    must be ``compute_importance(trace)``, so a sweep computes it once),
+    else computed here.
     """
     N = trace.meta.seq_len
     if config.seq_len != N:
@@ -347,7 +350,10 @@ def prefill_compress(
     if merge_policy == "feature" and trace.keys is None:
         raise MismatchError("feature merging requires a trace with key/value vectors")
 
-    profile = compute_importance(trace)
+    if profile is None:
+        profile = compute_importance(trace)
+    elif profile.meta != trace.meta:
+        raise MismatchError(f"importance profile covers {profile.meta}, trace is {trace.meta}")
     state = CacheState(config, profile, protect_distance=protect_distance,
                        merge_policy=merge_policy)
     state.current_len = N
@@ -368,11 +374,12 @@ def prefill_compress(
 
 
 def full_cache_state(trace: AttentionTrace,
-                     protect_distance: int = DEFAULT_PROTECT_DISTANCE) -> CacheState:
+                     protect_distance: int = DEFAULT_PROTECT_DISTANCE,
+                     profile: ImportanceProfile | None = None) -> CacheState:
     """A state that retains everything: uniform policy at full budget."""
     budget = BudgetSpec(r=1.0, min_tokens_per_layer=1)
     config = baseline_config("uniform", budget, trace.meta)
-    return prefill_compress(trace, config, protect_distance=protect_distance)
+    return prefill_compress(trace, config, protect_distance=protect_distance, profile=profile)
 
 
 def _match(policy: str, position: int, key, positions: np.ndarray, keys) -> int:

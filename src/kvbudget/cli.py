@@ -4,7 +4,8 @@ Subcommands: ``synth`` (trace generation), ``analyze`` (Lorenz/Gini
 export), ``plan`` (budget configuration), ``simulate`` (decode
 simulation), ``compare`` (policy sweeps) and ``replay`` (re-run a
 recorded manifest). Every command writes a RunManifest next to its first
-output; replaying the manifest reproduces all outputs bit-exactly.
+output; replaying the manifest reproduces all outputs bit-exactly. A
+command writes all of its outputs and the manifest, or none of them.
 
 Exit codes: 0 success, 1 usage error, 2 validation/parse error,
 3 infeasible budget.
@@ -13,11 +14,13 @@ Exit codes: 0 success, 1 usage error, 2 validation/parse error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -91,8 +94,8 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _write_manifest(command: str, args: argparse.Namespace,
-                    inputs: list[str], outputs: list[str]) -> str:
+def _write_manifest(path: str, command: str, args: argparse.Namespace,
+                    inputs: list[str], outputs: list[str]) -> None:
     params = {k: v for k, v in vars(args).items() if k != "func"}
     seed = params.get("seed")
     if seed is None:
@@ -105,9 +108,44 @@ def _write_manifest(command: str, args: argparse.Namespace,
         "seed": seed,
         "tool_version": __version__,
     }
-    path = str(outputs[0]) + ".manifest.json"
     Path(path).write_text(json.dumps(manifest, sort_keys=True))
-    return path
+
+
+def _commit(command: str, args: argparse.Namespace, inputs: list[str],
+            writes: list[tuple[str, Callable[[str], None]]]) -> list[str]:
+    """Write every output and the run manifest, or none of them.
+
+    ``writes`` pairs each output path with a function writing that
+    output to a path it is given. Each one writes a temporary file beside
+    its target (same suffix, so the format stays the same); the files are
+    renamed into place only when all were written, and a failure removes
+    whatever this call wrote. Returns the output paths.
+    """
+    outputs = [str(target) for target, _ in writes]
+    manifest = outputs[0] + ".manifest.json"
+    writes = [*writes, (manifest, lambda path: _write_manifest(path, command, args,
+                                                                inputs, outputs))]
+    temps, placed = [], []
+    try:
+        for i, (target, write) in enumerate(writes):
+            target = Path(target)
+            temp = str(target.with_name(f".{target.name}.{os.getpid()}-{i}.tmp{target.suffix}"))
+            temps.append(temp)
+            try:
+                write(temp)
+            except OSError as exc:
+                if exc.filename == temp:
+                    exc.filename = str(target)
+                raise
+        for temp, (target, _) in zip(temps, writes):
+            os.replace(temp, target)
+            placed.append(target)
+    except BaseException:
+        for path in temps + placed:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+    return outputs
 
 
 BUDGET_HELP = "compression ratio, fraction or percentage (0.5 or 50%%)"
@@ -170,14 +208,23 @@ class _Run:
         self.model = model
 
     @functools.cached_property
+    def profile(self):
+        """The prefill's importance: computed once, shared by every plan and cell."""
+        return compute_importance(self.prefill)
+
+    @functools.cached_property
     def seq(self):
-        return priority_sequence(compute_importance(self.prefill))
+        return priority_sequence(self.profile)
 
     def plan(self, policy: str, budget: BudgetSpec, sink: int):
         if policy == "prefixkv":
             return plan_online(self.seq, budget)
         return baseline_config(policy, budget, self.prefill.meta,
                                sink_count=sink if policy == "local" else None)
+
+    def compress(self, config, protect: int, merge: str):
+        return prefill_compress(self.prefill, config, protect_distance=protect,
+                                merge_policy=merge, profile=self.profile)
 
     def advance(self, state, steps: int) -> None:
         if self.model is None:
@@ -188,7 +235,8 @@ class _Run:
     def reference(self, steps: int, protect: int):
         """Full-cache toy decode: the ``(tokens, features)`` disturbance compares against."""
         return decode(self.model, self.trace, steps,
-                      full_cache_state(self.trace, protect_distance=protect))
+                      full_cache_state(self.trace, protect_distance=protect,
+                                       profile=self.profile))
 
 
 def _trace_run(trace: AttentionTrace, steps: int) -> _Run:
@@ -229,10 +277,7 @@ def run_synth(args: argparse.Namespace) -> list[str]:
         model = ToyModel(layers=args.layers, heads=args.heads, dim=args.dim,
                          vocab=args.vocab, seed=args.seed)
         trace = _prompt_trace(model, args.seq)
-    save_trace(trace, args.out)
-    outputs = [args.out]
-    _write_manifest("synth", args, [], outputs)
-    return outputs
+    return _commit("synth", args, [], [(args.out, functools.partial(save_trace, trace))])
 
 
 # --------------------------------------------------------------------------
@@ -253,11 +298,12 @@ def run_analyze(args: argparse.Namespace) -> list[str]:
         for x, y in zip(s.curve.x, s.curve.y):
             curve_rows.append([s.layer, float(x), float(y)])
         stat_rows.append([s.layer, s.gini])
-    _write_csv(args.out_curves, ["layer", "x", "y"], curve_rows)
-    _write_csv(args.out_stats, ["layer", "gini"], stat_rows)
-    outputs = [args.out_curves, args.out_stats]
-    _write_manifest("analyze", args, [args.trace], outputs)
-    return outputs
+    return _commit("analyze", args, [args.trace], [
+        (args.out_curves, functools.partial(_write_csv, header=["layer", "x", "y"],
+                                            rows=curve_rows)),
+        (args.out_stats, functools.partial(_write_csv, header=["layer", "gini"],
+                                           rows=stat_rows)),
+    ])
 
 
 # --------------------------------------------------------------------------
@@ -278,26 +324,30 @@ def run_plan(args: argparse.Namespace) -> list[str]:
     else:
         run = _Run(traces[0], traces[0].meta.seq_len, None)
         config = run.plan(args.policy, budget, args.sink)
-    save_config(config, args.out)
-    outputs = [args.out]
-    _write_manifest("plan", args, list(args.traces), outputs)
-    return outputs
+    return _commit("plan", args, list(args.traces),
+                   [(args.out, functools.partial(save_config, config))])
 
 
 # --------------------------------------------------------------------------
 # simulate
 # --------------------------------------------------------------------------
 
-def _write_sim_outputs(args, state, prefill_info) -> list[str]:
-    with open(args.out_log, "w") as handle:
-        for record in state.step_log:
+def _write_log(path: str, step_log: list[dict]) -> None:
+    with open(path, "w") as handle:
+        for record in step_log:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _sim_writes(args, state, prefill_info) -> list[tuple[str, Callable[[str], None]]]:
     info_rows = [[0, l, float(v)] for l, v in enumerate(prefill_info)]
     for record in state.step_log:
         for l, v in enumerate(record["retained_info"]):
             info_rows.append([record["step"], l, float(v)])
-    _write_csv(args.out_info, ["step", "layer", "retained_info"], info_rows)
-    return [args.out_log, args.out_info]
+    return [
+        (args.out_log, functools.partial(_write_log, step_log=state.step_log)),
+        (args.out_info, functools.partial(_write_csv, header=["step", "layer", "retained_info"],
+                                          rows=info_rows)),
+    ]
 
 
 def run_simulate(args: argparse.Namespace) -> list[str]:
@@ -322,25 +372,21 @@ def run_simulate(args: argparse.Namespace) -> list[str]:
     if config is None:
         config = run.plan(args.policy, _budget_from_args(args, parse_budget(args.budget)),
                           args.sink)
-    state = prefill_compress(run.prefill, config, protect_distance=args.protect,
-                             merge_policy=args.merge)
+    state = run.compress(config, args.protect, args.merge)
     prefill_info = retained_info(state, state.report_profile)
     if args.steps > 0:
         run.advance(state, args.steps)
 
-    outputs = _write_sim_outputs(args, state, prefill_info)
+    writes = _sim_writes(args, state, prefill_info)
     if args.disturb:
         # The logged run decoded its own tokens; disturbance teacher-forces
         # the reference's, so it starts from a fresh compressed prefill.
-        compressed = prefill_compress(run.prefill, config, protect_distance=args.protect,
-                                      merge_policy=args.merge)
         report = disturbance(run.model, run.trace, run.reference(args.steps, args.protect),
-                             compressed)
+                             run.compress(config, args.protect, args.merge))
         rows = [[l, t, float(v)] for (l, t), v in np.ndenumerate(report.mae)]
-        _write_csv(args.out_disturb, ["layer", "token_index", "mae"], rows)
-        outputs.append(args.out_disturb)
-    _write_manifest("simulate", args, inputs, outputs)
-    return outputs
+        writes.append((args.out_disturb, functools.partial(
+            _write_csv, header=["layer", "token_index", "mae"], rows=rows)))
+    return _commit("simulate", args, inputs, writes)
 
 
 # --------------------------------------------------------------------------
@@ -350,8 +396,7 @@ def run_simulate(args: argparse.Namespace) -> list[str]:
 def _compare_cell(run: _Run, reference, config, args: argparse.Namespace,
                   mode: str) -> list[float]:
     """Retained info after prefill (and any trace replay); toy runs add their MAE."""
-    state = prefill_compress(run.prefill, config, protect_distance=args.protect,
-                             merge_policy=mode)
+    state = run.compress(config, args.protect, mode)
     if reference is None and args.steps:
         run.advance(state, args.steps)
     info = retained_info(state, state.report_profile)
@@ -396,10 +441,8 @@ def run_compare(args: argparse.Namespace) -> list[str]:
                 rows.append([r, policy, mode,
                              *(float(np.mean(column)) for column in zip(*cells))])
 
-    _write_csv(args.out, header, rows)
-    outputs = [args.out]
-    _write_manifest("compare", args, inputs, outputs)
-    return outputs
+    return _commit("compare", args, inputs,
+                   [(args.out, functools.partial(_write_csv, header=header, rows=rows))])
 
 
 # --------------------------------------------------------------------------

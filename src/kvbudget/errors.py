@@ -25,6 +25,11 @@ class DegenerateLayerError(ValidationError):
     """A layer's importance is identically zero, so normalization is undefined."""
 
 
+class TraceTooLargeError(ValidationError):
+    """A trace array would exceed ``trace.MAX_TRACE_ELEMENTS`` values, or a
+    JSON trace file ``trace.MAX_JSON_BYTES`` bytes; refused before allocation."""
+
+
 class MismatchError(ValidationError):
     """Two otherwise valid inputs are incompatible (e.g. config vs. trace length)."""
 

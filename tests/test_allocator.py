@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from kvbudget import (
     BudgetError,
     BudgetSpec,
+    ParseError,
     SearchResult,
     baseline_config,
     binary_search,
@@ -471,6 +473,35 @@ def test_config_round_trip(tmp_path, two_layer_seq):
     assert back.budget == config.budget
     assert back.threshold == config.threshold
     assert back.policy == config.policy
+
+
+@pytest.mark.parametrize("field, value", [
+    (("ratios", 0), float("nan")),
+    (("ratios", 1), float("inf")),
+    (("budget", "r"), float("nan")),
+    (("budget", "r"), float("inf")),
+    (("p",), float("nan")),
+    (("p",), float("-inf")),
+    (("seq_len",), True),
+    (("token_counts", 0), True),
+    (("budget", "max_steps"), False),
+    (("steps",), True),
+    (("seq_len",), "64"),
+    (("token_counts", 0), 2.5),
+    (("ratios", 0), "0.5"),
+])
+def test_config_rejects_non_finite_and_mistyped_numbers(tmp_path, two_layer_seq, field, value):
+    path = tmp_path / "config.json"
+    save_config(plan_online(two_layer_seq, BudgetSpec(r=0.5)), path)
+    doc = json.loads(path.read_text())
+    *parents, last = field
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="must be (finite|a number|an integer)"):
+        load_config(path)
 
 
 def test_planning_never_builds_the_order_permutation():

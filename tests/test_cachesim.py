@@ -72,6 +72,34 @@ class TestPrefill:
         with pytest.raises(MismatchError, match="positions"):
             prefill_compress(trace, importance_config([2], 4, 0.5))
 
+    @pytest.mark.parametrize("policy", ["prefixkv", "local"])
+    def test_given_profile_builds_the_same_state(self, policy):
+        full = synth_trace(3, 2, 30, [0.1, 1.0, 4.0], seed=4, with_kv=True)
+        trace = trace_prefix(full, 24)
+        config = plan_online(priority_sequence(compute_importance(trace)), BudgetSpec(r=0.3))
+        if policy == "local":
+            config = baseline_config("local", BudgetSpec(r=0.3), trace.meta, sink_count=2)
+        states = [prefill_compress(trace, config, merge_policy="feature", profile=profile)
+                  for profile in (None, compute_importance(trace))]
+        for state in states:
+            replay_steps(full, state, 6)
+        a, b = states
+        assert a.step_log == b.step_log
+        assert a.hard_evicted == b.hard_evicted
+        for l in range(a.layers):
+            assert a.live_positions(l) == b.live_positions(l)
+            assert all(np.array_equal(x, y) for x, y in zip(a.live_kv(l), b.live_kv(l)))
+            assert ([e.importance_acc for e in a.layer_caches[l]]
+                    == [e.importance_acc for e in b.layer_caches[l]])
+
+    def test_mismatched_profile(self):
+        trace = synth_trace(2, 1, 12, [0.5, 2.0], seed=1)
+        config = baseline_config("uniform", BudgetSpec(r=0.5), trace.meta)
+        other = synth_trace(2, 1, 12, [0.5, 2.0], seed=2)
+        for profile in (compute_importance(other), compute_importance(trace_prefix(trace, 11))):
+            with pytest.raises(MismatchError, match="importance profile"):
+                prefill_compress(trace, config, profile=profile)
+
     def test_feature_merge_requires_kv(self):
         trace = shortcut_trace([[1.0, 1.0, 1.0, 1.0]])
         with pytest.raises(MismatchError, match="key/value"):

@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import json
+import zipfile
 
+import numpy as np
 import pytest
 
 from kvbudget import load_config, load_trace
@@ -399,3 +401,115 @@ def test_parse_budget_forms():
     assert parse_budget(0.25) == 0.25
     with pytest.raises(Exception):
         parse_budget("half")
+
+
+class TestAllOrNothingOutputs:
+    def test_analyze_leaves_nothing_when_a_later_output_fails(self, tmp_path, capsys,
+                                                             input_trace):
+        argv = ["analyze", input_trace, "--out-curves", "c.csv", "--out-stats", "nodir/g.csv"]
+        assert run(argv, tmp_path) == 2
+        assert "nodir/g.csv" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("extra", [
+        ["--trace", "TRACE", "--out-info", "nodir/i.csv"],
+        ["--toy-seed", "2", "--toy-layers", "2", "--toy-heads", "2", "--toy-dim", "16",
+         "--prompt-len", "12", "--disturb", "--out-disturb", "nodir/d.csv"],
+    ], ids=["info", "disturb"])
+    def test_simulate_leaves_nothing_when_a_later_output_fails(self, tmp_path, capsys,
+                                                              input_trace, extra):
+        argv = ["simulate", "--budget", "0.5", "--steps", "4",
+                *(input_trace if arg == "TRACE" else arg for arg in extra)]
+        assert run(argv, tmp_path) == 2
+        assert "nodir/" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
+def _count_importance_passes(monkeypatch):
+    """Count compute_importance calls made through the CLI and the cache simulator."""
+    import kvbudget.cachesim
+    import kvbudget.cli
+
+    calls = []
+    original = kvbudget.cli.compute_importance
+
+    def counted(trace):
+        calls.append(trace.meta)
+        return original(trace)
+
+    for module in (kvbudget.cli, kvbudget.cachesim):
+        monkeypatch.setattr(module, "compute_importance", counted)
+    return calls
+
+
+class TestOneImportancePass:
+    def test_trace_compare(self, tmp_path, monkeypatch):
+        for seed in ("1", "2"):
+            assert run(["synth", "--layers", "2", "--heads", "2", "--seq", "30", "--kv",
+                        "--seed", seed, "--out", f"t{seed}.json"], tmp_path) == 0
+        calls = _count_importance_passes(monkeypatch)
+        assert run(["compare", "--budgets", "0.3,0.6", "--merge", "none,feature",
+                    "--steps", "4", "t1.json", "t2.json"], tmp_path) == 0
+        assert len(calls) == 2
+
+    def test_toy_compare(self, tmp_path, monkeypatch):
+        calls = _count_importance_passes(monkeypatch)
+        assert run(["compare", "--budgets", "0.3,0.6", "--toy-seed", "4", "--toy-layers", "2",
+                    "--toy-heads", "2", "--toy-dim", "16", "--prompt-len", "12",
+                    "--decode-len", "3", "--runs", "2"], tmp_path) == 0
+        assert len(calls) == 2
+
+
+class TestNpzTraces:
+    def test_compare_over_json_and_npz_twins_is_identical(self, tmp_path):
+        for name in ("t.json", "t.npz"):
+            assert run(["synth", "--layers", "3", "--heads", "2", "--seq", "40", "--kv",
+                        "--concentration", "0.1,1.0,4.0", "--seed", "9", "--out", name],
+                       tmp_path) == 0
+        assert zipfile.is_zipfile(tmp_path / "t.npz")
+        for name in ("t.json", "t.npz"):
+            assert run(["compare", "--budgets", "0.2,0.5", "--merge", "none,feature",
+                        "--steps", "6", "--out", f"{name}.csv", name], tmp_path) == 0
+        assert (tmp_path / "t.json.csv").read_bytes() == (tmp_path / "t.npz.csv").read_bytes()
+
+    @staticmethod
+    def _twins(tmp_path, name, doc):
+        """The same trace document as JSON and as .npz."""
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        arrays = {"meta": np.array(json.dumps(doc["meta"]))}
+        arrays.update({k: np.asarray(v) for k, v in doc.items() if k != "meta"})
+        np.savez(tmp_path / f"{name}.npz", **arrays)
+        return [tmp_path / f"{name}.json", tmp_path / f"{name}.npz"]
+
+    def test_corrupt_twins_fail_alike(self, tmp_path, capsys):
+        meta = {"layers": 1, "heads": 1, "seq_len": 2, "label": "", "seed": None}
+        good = [[[[1.0, 0.0], [0.6, 0.4]]]]
+        cases = {
+            "nan": {"meta": meta, "attention": [[[[1.0, 0.0], [float("nan"), 0.4]]]]},
+            "type-swapped": {"meta": meta, "attention": "not an array"},
+            "wrong-shape": {"meta": meta, "attention": [[[[1.0, 0.0, 0.0]] * 2]]},
+            "bool-meta": {"meta": {**meta, "layers": True}, "attention": good},
+        }
+        paths = [p for name, doc in cases.items() for p in self._twins(tmp_path, name, doc)]
+        self._twins(tmp_path, "good", {"meta": meta, "attention": good})
+        for good_path in (tmp_path / "good.json", tmp_path / "good.npz"):
+            truncated = tmp_path / f"truncated{good_path.suffix}"
+            data = good_path.read_bytes()
+            truncated.write_bytes(data[:len(data) // 2])
+            paths.append(truncated)
+        out = tmp_path / "out"
+        out.mkdir()
+        for path in paths:
+            assert run(["analyze", str(path)], out) == 2, path.name
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+        assert not list(out.iterdir())
+        for name in ("good.json", "good.npz"):
+            assert run(["analyze", str(tmp_path / name)], out) == 0
+
+
+def test_oversized_synth_is_refused_before_allocating(tmp_path, capsys):
+    # 10^12 positions: without the guard the first allocation fails at once.
+    assert run(["synth", "--seq", str(10**12), "--out", "t.npz"], tmp_path) == 2
+    assert "above the limit" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
