@@ -51,8 +51,8 @@ class BudgetSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.r <= 1.0:
             raise BudgetError(f"compression ratio must be in (0, 1], got {self.r}")
-        if self.delta_tol < 0.0:
-            raise BudgetError(f"delta_tol must be nonnegative, got {self.delta_tol}")
+        if not 0.0 <= self.delta_tol < math.inf:
+            raise BudgetError(f"delta_tol must be finite and nonnegative, got {self.delta_tol}")
         if self.max_steps < 1:
             raise BudgetError(f"max_steps must be at least 1, got {self.max_steps}")
         if self.min_tokens_per_layer < 0:
@@ -112,13 +112,27 @@ def ratio_at_threshold(seq: PrioritySequence, layer: int, p: float) -> float:
 
 def _ratios_at(cumulative: np.ndarray, p: float) -> np.ndarray:
     """Per-layer prefix ratios at threshold p for an (L, N) cumulative matrix."""
-    L, N = cumulative.shape
     if p <= 0.0:
-        return np.zeros(L)
-    idx = np.empty(L, dtype=np.int64)
-    for l in range(L):
-        idx[l] = np.searchsorted(cumulative[l], p, side="left")
+        return np.zeros(len(cumulative))
+    return _prefix_ratios(_insertion_points(cumulative, [p])[:, 0], cumulative.shape[1])
+
+
+def _prefix_ratios(idx: np.ndarray, N: int) -> np.ndarray:
+    """Ratios of the prefixes ending at each layer's left insertion point of p."""
     return (np.minimum(idx, N - 1) + 1) / N
+
+
+def _insertion_points(cumulative: np.ndarray, values) -> np.ndarray:
+    """Left insertion point of every value in every row: one call per layer.
+
+    The left insertion point of ``np.nextafter(p, np.inf)`` is the right
+    insertion point of p, since no float lies strictly between the two.
+    """
+    values = np.asarray(values, dtype=float)
+    points = np.empty((len(cumulative), len(values)), dtype=np.intp)
+    for l, row in enumerate(cumulative):
+        points[l] = np.searchsorted(row, values)
+    return points
 
 
 def binary_search(seq: PrioritySequence, budget: BudgetSpec) -> SearchResult:
@@ -150,36 +164,39 @@ def _search(cumulative: np.ndarray, budget: BudgetSpec) -> SearchResult:
     best_key: tuple[float, int] | None = None
     best_p = best_delta = 0.0
 
-    def evaluate(p: float) -> float:
+    def evaluate(p: float) -> tuple[float, np.ndarray]:
+        """Budget difference at p, and p's left and right insertion points."""
         nonlocal steps, best_key, best_p, best_delta
         steps += 1
-        delta = float(_ratios_at(cumulative, p).sum() - target)
+        points = _insertion_points(cumulative, [p, np.nextafter(p, np.inf)])
+        delta = float(_prefix_ratios(points[:, 0], N).sum() - target)
         key = (abs(delta), 0 if delta < 0 else 1)
         if best_key is None or key < best_key:
             best_key, best_p, best_delta = key, p, delta
-        return delta
+        return delta, points
 
+    # Ratios only change at cumulative values. Per layer, i is the right
+    # insertion point of p1 and j the left one of p2, so row[i] is the first
+    # value above p1 and row[j - 1] the last below p2; each bracket end
+    # keeps the points found when it was evaluated.
+    rows = np.arange(L)
+    i, j = _insertion_points(cumulative, [np.nextafter(0.0, np.inf), 1.0]).T
     p1, p2 = 0.0, 1.0
     while steps < budget.max_steps:
         p = (p1 + p2) / 2.0
-        delta = evaluate(p)
+        delta, points = evaluate(p)
         if delta == 0.0 or abs(delta) <= budget.delta_tol:
             return SearchResult(p=p, steps=steps, delta_final=delta, converged=True)
         if delta < 0.0:
-            p1 = p
+            p1, i = p, points[:, 1]
         else:
-            p2 = p
-        # Ratios only change at cumulative values: find the first one above
-        # p1 and the last one below p2, over all layers.
-        above, below = np.inf, -np.inf
-        for row in cumulative:
-            i, j = np.searchsorted(row, p1, side="right"), np.searchsorted(row, p2, side="left")
-            above = min(above, row[i]) if i < N else above
-            below = max(below, row[j - 1]) if j else below
+            p2, j = p, points[:, 0]
+        above = cumulative[rows[i < N], i[i < N]].min(initial=np.inf)
+        below = cumulative[rows[j > 0], j[j > 0] - 1].max(initial=-np.inf)
         if above >= p2 or above == below:
             if above == below and steps < budget.max_steps:
                 v = float(above)
-                delta_v = evaluate(v)
+                delta_v, _ = evaluate(v)
                 if delta_v == 0.0 or abs(delta_v) <= budget.delta_tol:
                     return SearchResult(p=v, steps=steps, delta_final=delta_v, converged=True)
             break

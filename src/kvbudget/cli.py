@@ -16,11 +16,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import functools
 import json
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +87,7 @@ def _parse_budget_list(value) -> list[float]:
     return [parse_budget(item) for item in items]
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -122,6 +123,9 @@ def _commit(command: str, args: argparse.Namespace, inputs: list[str],
     whatever this call wrote. Returns the output paths.
     """
     outputs = [str(target) for target, _ in writes]
+    for target in outputs:
+        if Path(target).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
     manifest = outputs[0] + ".manifest.json"
     writes = [*writes, (manifest, lambda path: _write_manifest(path, command, args,
                                                                 inputs, outputs))]
@@ -292,17 +296,14 @@ def run_analyze(args: argparse.Namespace) -> list[str]:
         if not 0 <= args.layer < trace.meta.layers:
             raise ValidationError(f"layer {args.layer} out of range")
         stats = [stats[args.layer]]
-    curve_rows = []
-    stat_rows = []
-    for s in stats:
-        for x, y in zip(s.curve.x, s.curve.y):
-            curve_rows.append([s.layer, float(x), float(y)])
-        stat_rows.append([s.layer, s.gini])
+    # Curve rows are generated while the file is written, never held as lists.
+    curve_rows = ([s.layer, x, y] for s in stats
+                  for x, y in zip(s.curve.x.tolist(), s.curve.y.tolist()))
     return _commit("analyze", args, [args.trace], [
         (args.out_curves, functools.partial(_write_csv, header=["layer", "x", "y"],
                                             rows=curve_rows)),
         (args.out_stats, functools.partial(_write_csv, header=["layer", "gini"],
-                                           rows=stat_rows)),
+                                           rows=[[s.layer, s.gini] for s in stats])),
     ])
 
 
@@ -463,13 +464,58 @@ def run_replay(args: argparse.Namespace) -> list[str]:
         manifest = json.loads(Path(args.manifest).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read manifest {args.manifest}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ParseError("manifest must be a JSON object")
     command = manifest.get("command")
     if command not in RUNNERS:
         raise ParseError(f"manifest names unknown command {command!r}")
     params = manifest.get("params")
     if not isinstance(params, dict):
         raise ParseError("manifest field 'params' must be an object")
-    return RUNNERS[command](argparse.Namespace(**params))
+    return RUNNERS[command](_recorded_args(command, params))
+
+
+def _recorded_args(command: str, params: dict) -> argparse.Namespace:
+    """Parse a manifest's recorded parameters again, as the command line they stand for.
+
+    Every value goes back through its own flag, so a manifest meets the
+    same type, choice and presence checks as a typed command; a recorded
+    run parses to the namespace it was recorded from.
+    """
+    parser = build_parser()
+    options, positionals, known = [], [], {"command"}
+    for action in _subcommands(parser)[command]._actions:
+        if action.dest == "help":
+            continue
+        known.add(action.dest)
+        if action.dest not in params:
+            continue
+        value = params[action.dest]
+        if not action.option_strings:
+            items = value if action.nargs in ("+", "*") else [value]
+            if not isinstance(items, list) or not all(isinstance(v, str) for v in items):
+                raise ParseError(f"manifest parameter {action.dest!r} must hold paths")
+            positionals += items
+        elif value is None and action.default is None:
+            continue
+        elif action.nargs == 0 and isinstance(value, bool):
+            options += [action.option_strings[0]] if value else []
+        elif (action.nargs != 0 and isinstance(value, (str, int, float))
+              and not isinstance(value, bool)):
+            options.append(f"{action.option_strings[0]}={value}")
+        else:
+            raise ParseError(f"manifest parameter {action.dest!r} cannot be {value!r}")
+    unknown = sorted(set(params) - known)
+    if unknown:
+        raise ParseError(f"manifest parameters {unknown} do not belong to command {command!r}")
+    if params.get("command", command) != command:
+        raise ParseError(f"manifest parameter 'command' disagrees with command {command!r}")
+    # After "--", a recorded path that starts with "-" is still a path.
+    argv = [command, *options, *(["--", *positionals] if positionals else [])]
+    try:
+        return parser.parse_args(argv)
+    except UsageError as exc:
+        raise ParseError(f"manifest parameters do not form a valid command: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -557,6 +603,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=run_replay)
 
     return parser
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The parser of every subcommand, by name."""
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
 
 
 def main(argv=None) -> int:

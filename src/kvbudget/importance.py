@@ -7,7 +7,9 @@ yields the priority sequence whose running sums ("cumulative priority")
 drive budget allocation.
 
 All operations here are pure functions on immutable inputs; layers can
-be processed independently.
+be processed independently. Their outputs are read-only: a profile may
+share memory with its trace, and downstream stages share memory with
+the profile and the priority sequence instead of copying them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ class ImportanceProfile:
     """Raw and normalized importance per layer and position.
 
     ``raw[l][n]`` is accumulated attention mass; ``normalized[l]`` sums
-    to 1 for every layer.
+    to 1 for every layer. Both arrays are read-only, and for a shortcut
+    trace ``raw`` is a view of the trace's ``importance``.
     """
 
     meta: TraceMeta
@@ -41,7 +44,8 @@ class PrioritySequence:
     ``cumulative[l][j]`` is the total importance share captured by the
     top ``j + 1`` positions. ``order[l]``, the positions by decreasing
     normalized importance (ties to the lower position), is computed only
-    on first access; planning never reads it.
+    on first access; planning never reads it. ``cumulative`` is
+    read-only.
     """
 
     meta: TraceMeta
@@ -57,12 +61,13 @@ def compute_importance(trace: AttentionTrace) -> ImportanceProfile:
     """Derive the importance profile of a trace.
 
     Full form: column sums of each attention matrix, averaged over
-    heads. Shortcut form: raw values are taken from the trace directly.
+    heads. Shortcut form: raw values are a read-only view of the trace's
+    importance, not a copy.
     """
     if trace.attention is not None:
         raw = trace.attention.sum(axis=2).mean(axis=1)
     else:
-        raw = trace.importance.copy()
+        raw = trace.importance.view()
     totals = raw.sum(axis=1)
     if not np.all(np.isfinite(totals)):
         layer = int(np.argwhere(~np.isfinite(totals))[0][0])
@@ -72,6 +77,7 @@ def compute_importance(trace: AttentionTrace) -> ImportanceProfile:
         layer = int(np.argwhere(totals <= 0.0)[0][0])
         raise DegenerateLayerError(f"layer {layer} has all-zero importance")
     normalized = raw / totals[:, None]
+    raw.flags.writeable = normalized.flags.writeable = False
     return ImportanceProfile(meta=trace.meta, raw=raw, normalized=normalized)
 
 
@@ -79,7 +85,14 @@ def priority_sequence(profile: ImportanceProfile) -> PrioritySequence:
     """Sort each layer's normalized importance descending and accumulate.
 
     A value sort suffices: tied shares are equal, so the running sums do
-    not depend on which tied position comes first.
+    not depend on which tied position comes first. The shares are negated
+    into one buffer, sorted ascending and accumulated in place, then
+    negated back; negation is exact, so the result has the bits of
+    accumulating the descending sort, with no second L*N temporary.
     """
-    cumulative = np.cumsum(np.sort(profile.normalized, axis=1)[:, ::-1], axis=1)
+    cumulative = np.negative(profile.normalized)
+    cumulative.sort(axis=1)
+    np.cumsum(cumulative, axis=1, out=cumulative)
+    np.negative(cumulative, out=cumulative)
+    cumulative.flags.writeable = False
     return PrioritySequence(profile.meta, profile.normalized, cumulative)

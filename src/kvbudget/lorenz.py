@@ -31,14 +31,7 @@ class LorenzCurve:
     def __post_init__(self) -> None:
         if self.x.shape != self.y.shape or self.x.ndim != 1 or len(self.x) == 0:
             raise ValueError("curve requires matching non-empty x and y vectors")
-        if np.any(np.diff(self.x) <= 0):
-            raise ValueError("x must be strictly increasing")
-        if np.any(np.diff(self.y) < 0):
-            raise ValueError("y must be nondecreasing")
-        if abs(self.x[-1] - 1.0) > _FINAL_TOL or abs(self.y[-1] - 1.0) > _FINAL_TOL:
-            raise ValueError(f"curve must end at (1, 1), got ({self.x[-1]}, {self.y[-1]})")
-        if np.any(self.y < self.x - _FINAL_TOL):
-            raise ValueError("curve dips below the equality line")
+        _check_curves(self.x, self.y[None])
 
 
 @dataclass(frozen=True)
@@ -48,13 +41,33 @@ class LayerStats:
     curve: LorenzCurve
 
 
+# Layers whose Gini areas layer_stats computes in one pass are chosen so
+# that a pass's temporaries hold about this many values.
+_BLOCK_VALUES = 2**20
+
+
+def _grid(n: int) -> np.ndarray:
+    """The read-only x grid (j+1)/n, j = 0..n-1, that every curve of length n shares."""
+    x = np.arange(1, n + 1) / n
+    x.flags.writeable = False
+    return x
+
+
+def _row(cumulative: np.ndarray, layer: int) -> np.ndarray:
+    """Read-only view of one layer's cumulative priorities."""
+    y = cumulative[layer]
+    y.flags.writeable = False
+    return y
+
+
 def lorenz_curve(seq: PrioritySequence, layer: int) -> LorenzCurve:
-    """Curve of one layer: points ((j+1)/N, cumulative[l][j]) for j = 0..N-1."""
+    """Curve of one layer: points ((j+1)/N, cumulative[l][j]) for j = 0..N-1.
+
+    ``y`` is a read-only view of the sequence's cumulative row.
+    """
     if not 0 <= layer < seq.meta.layers:
         raise IndexError(f"layer {layer} out of range [0, {seq.meta.layers})")
-    n = seq.meta.seq_len
-    x = np.arange(1, n + 1) / n
-    return LorenzCurve(x=x, y=seq.cumulative[layer].copy())
+    return LorenzCurve(x=_grid(seq.meta.seq_len), y=_row(seq.cumulative, layer))
 
 
 def gini(curve: LorenzCurve) -> float:
@@ -64,16 +77,77 @@ def gini(curve: LorenzCurve) -> float:
     and the result is clamped to [0, 1]. Uniform importance gives 0; a
     single atom among N tokens gives (N-1)/N.
     """
-    xs = np.concatenate(([0.0], curve.x))
-    ys = np.concatenate(([0.0], curve.y))
-    area_under = float(np.sum(np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0))
-    return float(np.clip(2.0 * (area_under - 0.5), 0.0, 1.0))
+    return float(_ginis(curve.x, curve.y[None])[0])
+
+
+def _check_curves(x: np.ndarray, block: np.ndarray) -> None:
+    """Raise ValueError unless every row y of ``block`` makes a Lorenz curve over ``x``.
+
+    The message names the first failing check of the first failing row,
+    with the checks in the order listed, so a block fails as its rows
+    would one at a time.
+    """
+    faults = [
+        ("x must be strictly increasing", np.full(len(block), np.any(np.diff(x) <= 0))),
+        ("y must be nondecreasing", np.any(block[:, 1:] < block[:, :-1], axis=1)),
+        ("curve must end at (1, 1)",
+         (abs(x[-1] - 1.0) > _FINAL_TOL) | (np.abs(block[:, -1] - 1.0) > _FINAL_TOL)),
+        ("curve dips below the equality line", np.any(block < x - _FINAL_TOL, axis=1)),
+    ]
+    bad = np.logical_or.reduce([rows for _, rows in faults])
+    if bad.any():
+        row = int(np.argmax(bad))
+        message = next(message for message, rows in faults if rows[row])
+        if message.startswith("curve must end"):
+            message += f", got ({x[-1]}, {block[row, -1]})"
+        raise ValueError(message)
+
+
+def _ginis(x: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Gini coefficient of every row y of ``block`` as a curve over ``x``.
+
+    Each row sums the elementwise ``dx * (y_j + y_{j-1}) / 2`` from the
+    implied origin, so a row's value does not depend on the block's other
+    rows or its size.
+    """
+    block = block.astype(float, copy=False)
+    dx = np.diff(np.concatenate(([0.0], x)))
+    terms = np.empty_like(block)
+    terms[:, 0] = block[:, 0] + 0.0
+    np.add(block[:, 1:], block[:, :-1], out=terms[:, 1:])
+    terms *= dx
+    terms /= 2.0
+    return np.clip(2.0 * (terms.sum(axis=1) - 0.5), 0.0, 1.0)
+
+
+def _unchecked_curve(x: np.ndarray, y: np.ndarray) -> LorenzCurve:
+    """A curve whose invariants ``_check_curves`` has already checked."""
+    curve = object.__new__(LorenzCurve)
+    object.__setattr__(curve, "x", x)
+    object.__setattr__(curve, "y", y)
+    return curve
 
 
 def layer_stats(seq: PrioritySequence) -> list[LayerStats]:
-    """Lorenz curve and Gini coefficient for every layer."""
+    """Lorenz curve and Gini coefficient for every layer.
+
+    All curves share one read-only x grid, and each y is a read-only
+    view of the sequence's cumulative row. Invariants and Gini areas are
+    computed a block of layers at a time, with the functions
+    ``LorenzCurve`` and ``gini`` apply to one curve, so the first invalid
+    layer raises its own message and every Gini has the same bits.
+    """
+    L, n = seq.meta.layers, seq.meta.seq_len
+    cumulative = seq.cumulative[:L]
+    if cumulative.shape != (L, n):
+        raise ValueError("curve requires matching non-empty x and y vectors")
+    x = _grid(n)
+    step = max(1, _BLOCK_VALUES // n)
     stats = []
-    for layer in range(seq.meta.layers):
-        curve = lorenz_curve(seq, layer)
-        stats.append(LayerStats(layer=layer, gini=gini(curve), curve=curve))
+    for start in range(0, L, step):
+        block = cumulative[start:start + step]
+        _check_curves(x, block)
+        for layer, g in enumerate(_ginis(x, block).tolist(), start):
+            curve = _unchecked_curve(x, _row(cumulative, layer))
+            stats.append(LayerStats(layer=layer, gini=g, curve=curve))
     return stats

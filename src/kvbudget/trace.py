@@ -249,8 +249,8 @@ def synth_trace(
     conc = np.asarray(concentration, dtype=float)
     if conc.shape != (layers,):
         raise UsageError(f"concentration must have length {layers}, got shape {conc.shape}")
-    if np.any(conc <= 0):
-        raise UsageError("concentration values must be positive")
+    if not np.all((conc > 0) & (conc < np.inf)):
+        raise UsageError("concentration values must be positive and finite")
     if seed < 0:
         raise UsageError(f"seed must be nonnegative, got {seed}")
 
@@ -445,12 +445,31 @@ def save_trace(trace: AttentionTrace, path: str | Path) -> None:
         return
     doc: dict = {"meta": meta}
     if trace.attention is not None:
-        doc["attention"] = trace.attention.tolist()
+        doc["attention"] = trace.attention
     else:
-        doc["importance"] = trace.importance.tolist()
-    if trace.keys is not None:
-        doc["kv"] = {"keys": trace.keys.tolist(), "values": trace.values.tolist()}
+        doc["importance"] = trace.importance
+    doc["kv"] = None if trace.keys is None else {"keys": trace.keys, "values": trace.values}
+    doc["features"] = trace.features
+    with open(path, "w") as handle:
+        _write_json(handle, doc)
+
+
+def _write_json(handle, value) -> None:
+    """Write ``json.dumps(value)`` with every array taken as its ``tolist()``.
+
+    An array is written one leading-axis block at a time, so no list or
+    string of the whole array is ever built.
+    """
+    if isinstance(value, np.ndarray):
+        handle.write("[")
+        for i, block in enumerate(value):
+            handle.write((", " if i else "") + json.dumps(block.tolist()))
+        handle.write("]")
+    elif isinstance(value, dict):
+        handle.write("{")
+        for i, (key, item) in enumerate(value.items()):
+            handle.write((", " if i else "") + json.dumps(key) + ": ")
+            _write_json(handle, item)
+        handle.write("}")
     else:
-        doc["kv"] = None
-    doc["features"] = None if trace.features is None else trace.features.tolist()
-    path.write_text(json.dumps(doc))
+        handle.write(json.dumps(value))

@@ -107,6 +107,12 @@ def random_seq(rng, layers=(2, 8), tokens=(8, 64)):
     return priority_sequence(compute_importance(trace))
 
 
+@pytest.mark.parametrize("delta_tol", [float("nan"), float("inf"), -0.1])
+def test_budget_rejects_non_finite_or_negative_tolerance(delta_tol):
+    with pytest.raises(BudgetError, match="delta_tol must be finite and nonnegative"):
+        BudgetSpec(r=0.5, delta_tol=delta_tol)
+
+
 class TestRatioAtThreshold:
     def test_scan_example(self, two_layer_seq):
         assert ratio_at_threshold(two_layer_seq, 0, 0.7) == 0.25

@@ -6,8 +6,14 @@ import zipfile
 import numpy as np
 import pytest
 
-from kvbudget import load_config, load_trace
-from kvbudget.cli import main, parse_budget
+from kvbudget import (
+    compute_importance,
+    layer_stats,
+    load_config,
+    load_trace,
+    priority_sequence,
+)
+from kvbudget.cli import _recorded_args, main, parse_budget
 
 
 def run(args, cwd):
@@ -96,6 +102,13 @@ class TestAnalyze:
         curves = read_csv(tmp_path / "c1.csv")
         assert {r["layer"] for r in curves} == {"1"}
         assert len(curves) == 40
+
+    def test_streamed_curve_rows_match_per_point_rows(self, tmp_path, dirichlet_trace):
+        assert run(["analyze", str(dirichlet_trace)], tmp_path) == 0
+        stats = layer_stats(priority_sequence(compute_importance(load_trace(dirichlet_trace))))
+        rows = [f"{s.layer},{float(x)!r},{float(y)!r}"
+                for s in stats for x, y in zip(s.curve.x, s.curve.y)]
+        assert (tmp_path / "lorenz.csv").read_text() == "\n".join(["layer,x,y", *rows]) + "\n"
 
     def test_validation_error_exit_code(self, tmp_path):
         (tmp_path / "bad.json").write_text(json.dumps({
@@ -319,6 +332,39 @@ class TestManifests:
         (tmp_path / "bad.manifest.json").write_text("{}")
         assert run(["replay", "bad.manifest.json"], tmp_path) == 2
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: [doc], "manifest must be a JSON object"),
+        (lambda doc: {**doc, "params": {k: v for k, v in doc["params"].items()
+                                        if k != "budget"}}, "required: --budget"),
+        (lambda doc: {**doc, "params": {**doc["params"], "max_steps": "x"}},
+         "invalid int value: 'x'"),
+        (lambda doc: {**doc, "params": {**doc["params"], "offline": "yes"}},
+         "parameter 'offline' cannot be 'yes'"),
+        (lambda doc: {**doc, "params": {**doc["params"], "traces": "t.json"}},
+         "parameter 'traces' must hold paths"),
+        (lambda doc: {**doc, "params": {**doc["params"], "bogus": 1}},
+         "['bogus'] do not belong to command 'plan'"),
+    ], ids=["list", "missing-param", "mistyped-param", "bool-flag", "paths", "unknown-param"])
+    def test_replay_parses_recorded_params_like_a_command_line(self, tmp_path, capsys,
+                                                               dirichlet_trace, corrupt, message):
+        # Each of these used to end in a traceback (or, for an unknown
+        # parameter, to be ignored).
+        assert run(["plan", "--budget", "0.5", "--out", "c.json", "t.json"], tmp_path) == 0
+        doc = json.loads((tmp_path / "c.json.manifest.json").read_text())
+        (tmp_path / "c.json").unlink()
+        (tmp_path / "bad.json").write_text(json.dumps(corrupt(doc)))
+        assert run(["replay", "bad.json"], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not (tmp_path / "c.json").exists()
+
+    def test_replayed_params_parse_to_the_recorded_namespace(self, tmp_path, dirichlet_trace):
+        assert run(["compare", "--budgets", "0.3,60%", "--delta-tol", "0.01",
+                    "--policies", "prefixkv,local", "t.json"], tmp_path) == 0
+        params = json.loads((tmp_path / "compare.csv.manifest.json").read_text())["params"]
+        args = _recorded_args("compare", params)
+        assert {k: v for k, v in vars(args).items() if k != "func"} == params
+
 
 @pytest.fixture(scope="module")
 def input_trace(tmp_path_factory):
@@ -393,6 +439,35 @@ def test_unreadable_or_unwritable_paths_exit_2(tmp_path, capsys, input_trace, ar
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "missing" in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["plan", "--budget", "0.5", "--delta-tol", "nan", "TRACE"], 3),
+    (["plan", "--budget", "0.5", "--delta-tol", "inf", "--policy", "uniform", "TRACE"], 3),
+    (["simulate", "--trace", "TRACE", "--budget", "0.5", "--steps", "2",
+      "--delta-tol", "nan"], 3),
+    (["synth", "--concentration", "nan", "--out", "t.json"], 1),
+    (["synth", "--concentration", "1.0,inf", "--out", "t.json"], 1),
+], ids=["plan-nan-tol", "plan-inf-tol", "simulate-nan-tol", "synth-nan", "synth-inf"])
+def test_non_finite_knobs_fail_with_a_named_error(tmp_path, capsys, input_trace, argv, code):
+    # Warnings are errors under pytest, so a numpy RuntimeWarning would fail
+    # this test instead of reaching stderr.
+    argv = [input_trace if arg == "TRACE" else arg for arg in argv]
+    assert run(argv, tmp_path) == code
+    err = capsys.readouterr().err
+    assert err.startswith(("usage error: ", "budget error: ")) and err.count("\n") == 1
+    assert "Traceback" not in err and "Warning" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("out", [".", "sub"])
+def test_output_path_naming_a_directory_exits_2(tmp_path, capsys, out):
+    # "." used to raise a ValueError traceback from the temporary file name.
+    (tmp_path / "sub").mkdir()
+    assert run(["synth", "--seq", "4", "--out", out], tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+    assert not list((tmp_path / "sub").iterdir())
 
 
 def test_parse_budget_forms():

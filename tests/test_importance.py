@@ -141,3 +141,39 @@ class TestPrioritySequence:
         seq = priority_sequence(compute_importance(shortcut_trace(raw)))
         assert np.array_equal(seq.cumulative, expected)
         assert np.array_equal(seq.order, order)
+
+
+class TestSharedReadOnlyArrays:
+    def test_shortcut_raw_is_a_read_only_view_of_the_trace(self):
+        trace = shortcut_trace([[3.0, 1.0], [2.0, 2.0]])
+        profile = compute_importance(trace)
+        assert np.shares_memory(profile.raw, trace.importance)
+        assert trace.importance.flags.writeable
+        for array in (profile.raw, profile.normalized):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+
+    def test_full_form_profile_is_read_only(self):
+        profile = compute_importance(full_trace([[1.0, 0.0], [0.6, 0.4]]))
+        assert not profile.raw.flags.writeable and not profile.normalized.flags.writeable
+
+    def test_cumulative_is_read_only(self):
+        seq = priority_sequence(compute_importance(shortcut_trace([[3.0, 1.0, 2.0]])))
+        with pytest.raises(ValueError, match="read-only"):
+            seq.cumulative[0, 0] = 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        raw=st.tuples(st.integers(1, 5), st.integers(1, 50)).flatmap(lambda shape: st.one_of(
+            arrays(np.float64, shape, elements=st.sampled_from([0.0, 0.0, 0.0, 0.5, 3.0])),
+            arrays(np.float64, shape, elements=st.integers(0, 2).map(float)),
+            arrays(np.float64, shape, elements=st.floats(0.0, 1e6)),
+        ))
+    )
+    def test_cumulative_bytes_match_the_descending_sort_formula(self, raw):
+        # Zero-heavy and tie-heavy rows: the in-place negated sort and
+        # accumulation must give the bytes of summing the descending sort.
+        raw[:, 0] += 1.0
+        profile = compute_importance(shortcut_trace(raw))
+        expected = np.cumsum(np.sort(profile.normalized, axis=1)[:, ::-1], axis=1)
+        assert priority_sequence(profile).cumulative.tobytes() == expected.tobytes()

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from kvbudget import LorenzCurve, gini, layer_stats, lorenz_curve
+from kvbudget import LorenzCurve, PrioritySequence, gini, layer_stats, lorenz, lorenz_curve
 
 from conftest import seq_from_importance
 
@@ -92,3 +95,77 @@ def test_layer_stats_covers_all_layers():
     assert [s.layer for s in stats] == [0, 1]
     assert stats[1].gini == pytest.approx(0.0, abs=1e-9)
     assert stats[0].gini > stats[1].gini
+
+
+def parent_layer_stats(seq):
+    """Per-layer curves and Ginis as computed one layer at a time, with copies."""
+    n = seq.meta.seq_len
+    out = []
+    for layer in range(seq.meta.layers):
+        x = np.arange(1, n + 1) / n
+        y = seq.cumulative[layer].copy()
+        xs, ys = np.concatenate(([0.0], x)), np.concatenate(([0.0], y))
+        area = float(np.sum(np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0))
+        out.append((float(np.clip(2.0 * (area - 0.5), 0.0, 1.0)), x, y))
+    return out
+
+
+def tie_and_zero_heavy_importance():
+    """(L, N) importance whose rows are mostly zeros or a few repeated values."""
+    shapes = st.tuples(st.integers(1, 9), st.integers(1, 70))
+    return shapes.flatmap(lambda shape: st.one_of(
+        arrays(np.float64, shape, elements=st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.5])),
+        arrays(np.float64, shape, elements=st.integers(0, 3).map(float)),
+        arrays(np.float64, shape, elements=st.floats(0.0, 1e3)),
+    )).map(lambda raw: np.concatenate([raw[:, :-1], raw[:, -1:] + 1.0], axis=1))
+
+
+class TestBlockStats:
+    @settings(max_examples=60, deadline=None)
+    @given(raw=tie_and_zero_heavy_importance(), block=st.sampled_from([1, 7, 64, 2**20]))
+    def test_matches_per_layer_curves_and_ginis(self, raw, block):
+        seq = seq_from_importance(raw)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lorenz, "_BLOCK_VALUES", block)
+            stats = layer_stats(seq)
+        assert [s.layer for s in stats] == list(range(raw.shape[0]))
+        for s, (g, x, y) in zip(stats, parent_layer_stats(seq)):
+            assert s.gini == g and type(s.gini) is float
+            assert s.curve.x.tobytes() == x.tobytes()
+            assert s.curve.y.tobytes() == y.tobytes()
+            assert s.gini == gini(s.curve) and s.gini == gini(lorenz_curve(seq, s.layer))
+
+    def test_curves_share_the_grid_and_the_cumulative_rows(self):
+        seq = seq_from_importance(np.arange(1.0, 41.0).reshape(4, 10))
+        stats = layer_stats(seq)
+        assert len({id(s.curve.x) for s in stats}) == 1
+        for s in stats:
+            assert np.shares_memory(s.curve.y, seq.cumulative)
+            assert np.array_equal(s.curve.y, seq.cumulative[s.layer])
+            for array in (s.curve.x, s.curve.y):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.5
+        single = lorenz_curve(seq, 2)
+        assert np.shares_memory(single.y, seq.cumulative) and not single.y.flags.writeable
+        assert not single.x.flags.writeable
+
+    @pytest.mark.parametrize("fault", ["dip", "decreasing", "end"])
+    @pytest.mark.parametrize("block", [1, 8, 2**20])
+    def test_first_bad_layer_raises_the_constructor_message(self, fault, block, monkeypatch):
+        monkeypatch.setattr(lorenz, "_BLOCK_VALUES", block)
+        good = seq_from_importance(np.arange(1.0, 25.0).reshape(6, 4))
+        cumulative = good.cumulative.copy()
+        broken = {"dip": [0.1, 0.4, 0.7, 1.0], "decreasing": [0.5, 0.8, 0.7, 1.0],
+                  "end": [0.5, 0.8, 0.9, 0.95]}
+        # A later layer fails another check, so its message would differ.
+        cumulative[3] = broken[fault]
+        cumulative[5] = broken["dip" if fault == "end" else "end"]
+        seq = PrioritySequence(good.meta, good.normalized, cumulative)
+        message = {"dip": "curve dips below the equality line",
+                   "decreasing": "y must be nondecreasing",
+                   "end": "curve must end at (1, 1), got (1.0, 0.95)"}[fault]
+        with pytest.raises(ValueError) as expected:
+            LorenzCurve(np.arange(1, 5) / 4, cumulative[3].copy())
+        with pytest.raises(ValueError) as raised:
+            layer_stats(seq)
+        assert str(raised.value) == str(expected.value) == message

@@ -14,6 +14,7 @@ from kvbudget import (
     ToyModel,
     TraceMeta,
     TraceTooLargeError,
+    UsageError,
     ValidationError,
     compute_importance,
     forward_trace,
@@ -135,6 +136,35 @@ class TestRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+def single_dump_json(trace):
+    """The JSON text of a trace built as one document and one ``json.dumps``."""
+    meta = {"layers": trace.meta.layers, "heads": trace.meta.heads,
+            "seq_len": trace.meta.seq_len, "label": trace.meta.label, "seed": trace.meta.seed}
+    doc = {"meta": meta}
+    if trace.attention is not None:
+        doc["attention"] = trace.attention.tolist()
+    else:
+        doc["importance"] = trace.importance.tolist()
+    if trace.keys is not None:
+        doc["kv"] = {"keys": trace.keys.tolist(), "values": trace.values.tolist()}
+    else:
+        doc["kv"] = None
+    doc["features"] = None if trace.features is None else trace.features.tolist()
+    return json.dumps(doc)
+
+
+class TestStreamedJson:
+    @pytest.mark.parametrize("make", [
+        lambda: forward_trace(ToyModel(layers=2, heads=2, dim=8, vocab=16, seed=3), range(7)),
+        lambda: synth_trace(3, 2, 9, [0.05, 1.0, 20.0], seed=4, with_kv=True, label="q\"x"),
+        lambda: shortcut_trace([[0.123456789012345, 1e-300, 2.5], [0.0, 7.0, 1e17]]),
+    ], ids=["full-kv-features", "full-kv", "shortcut"])
+    def test_file_matches_one_document_dump(self, tmp_path, make):
+        trace = make()
+        save_trace(trace, tmp_path / "t.json")
+        assert (tmp_path / "t.json").read_text() == single_dump_json(trace)
+
+
 class TestSynth:
     def test_deterministic(self):
         a = synth_trace(2, 2, 16, [0.1, 2.0], seed=7, with_kv=True)
@@ -157,6 +187,12 @@ class TestSynth:
             synth_trace(2, 1, 8, [0.5, 0.0], seed=0)
         with pytest.raises(ValueError, match="length"):
             synth_trace(2, 1, 8, [0.5], seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_concentration_before_drawing(self, bad, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(UsageError, match="positive and finite"):
+            synth_trace(2, 1, 8, [0.5, bad], seed=0)
 
     def test_kv_unit_norm(self):
         trace = synth_trace(1, 2, 8, [1.0], seed=3, with_kv=True)
@@ -235,7 +271,7 @@ def test_full_trace_helper_rejects_bad_rows():
 def test_validate_rejects_non_finite_values(field, bad):
     trace = synth_trace(2, 1, 4, [1.0, 1.0], seed=0, with_kv=True)
     if field == "importance":
-        arrays = {"importance": compute_importance(trace).raw}
+        arrays = {"importance": compute_importance(trace).raw.copy()}
     else:
         arrays = {"attention": trace.attention.copy(), "keys": trace.keys.copy(),
                   "values": trace.values.copy(), "features": np.zeros((2, 4, 3))}
