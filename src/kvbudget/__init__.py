@@ -24,12 +24,10 @@ from .allocator import (
 from .cachesim import (
     CacheEntry,
     CacheState,
-    DisturbanceReport,
     disturbance,
     full_cache_state,
     merge,
     prefill_compress,
-    replay_decode,
     replay_steps,
     retained_info,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "CacheEntry",
     "CacheState",
     "DegenerateLayerError",
-    "DisturbanceReport",
     "ImportanceProfile",
     "KVBudgetError",
     "LayerStats",
@@ -107,7 +104,6 @@ __all__ = [
     "prefill_compress",
     "priority_sequence",
     "ratio_at_threshold",
-    "replay_decode",
     "replay_steps",
     "retained_info",
     "save_config",

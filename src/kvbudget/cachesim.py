@@ -31,7 +31,7 @@ from .allocator import BudgetSpec, PrefixConfiguration, baseline_config
 from .errors import MismatchError, UsageError, ValidationError
 from .importance import ImportanceProfile, compute_importance
 from .toymodel import ToyModel, decode
-from .trace import ROW_SUM_TOL, AttentionTrace, trace_prefix
+from .trace import ROW_SUM_TOL, AttentionTrace, _check_finite
 
 MERGE_POLICIES = ("none", "position", "feature")
 
@@ -182,10 +182,6 @@ class CacheState:
         return self.config.layers
 
     @property
-    def newest_position(self) -> int:
-        return self.current_len - 1
-
-    @property
     def layer_caches(self) -> Sequence[list[CacheEntry]]:
         """Per-layer snapshots of the live entries; changing them changes nothing here."""
         return _LayerEntries(self._layers)
@@ -193,14 +189,18 @@ class CacheState:
     def set_layer(self, layer: int, positions, importance, keys=None, values=None) -> None:
         """Replace a layer's live entries.
 
-        ``positions`` must ascend strictly; ``importance`` seeds their
-        accumulators; ``keys``/``values``, when given, have shape
-        (H, len(positions), d).
+        ``positions`` must ascend strictly within ``[0, current_len)``;
+        ``importance`` seeds their accumulators; ``keys``/``values``, when
+        given, have shape (H, len(positions), d).
         """
+        if not 0 <= layer < self.layers:
+            raise UsageError(f"layer {layer} outside [0, {self.layers})")
         positions = np.asarray(positions, dtype=np.int64)
         importance = np.asarray(importance, dtype=float)
         if positions.ndim != 1 or (positions[1:] <= positions[:-1]).any():
             raise UsageError("positions must be a strictly ascending 1-D sequence")
+        if len(positions) and not (positions[0] >= 0 and positions[-1] < self.current_len):
+            raise UsageError(f"positions must lie in [0, {self.current_len})")
         if importance.shape != positions.shape:
             raise UsageError("importance must have one value per position")
         if (keys is None) != (values is None):
@@ -237,7 +237,7 @@ class CacheState:
         lower position, or for the local policy the oldest non-sink entry.
         """
         live = cache.pos[:cache.n]
-        eligible = int(live.searchsorted(self.newest_position - self.protect_distance,
+        eligible = int(live.searchsorted(self.current_len - 1 - self.protect_distance,
                                          side="right"))
         if self.config.policy == "local":
             first = int(live.searchsorted(self.config.sink_count or 0))
@@ -248,7 +248,8 @@ class CacheState:
         """Fold one decoded token into every layer and enforce capacity.
 
         ``new_attention[l]`` holds per-head rows over the layer's live
-        entries plus the new token itself, each row normalized;
+        entries plus the new token itself, each row nonnegative and
+        normalized;
         ``new_kv[l]`` is the ``(key, value)`` pair of shape (H, d) to
         store, required exactly when the cache holds vectors. Every
         layer's input is checked before any layer changes, so a rejected
@@ -264,10 +265,17 @@ class CacheState:
         for l, cache in enumerate(self._layers):
             rows = np.asarray(new_attention[l], dtype=float)
             expected = cache.n + 1
-            if rows.ndim != 2 or rows.shape[1] != expected:
+            if rows.ndim != 2 or rows.shape[1] != expected or not len(rows):
                 raise ValidationError(
                     f"attention rows for layer {l} have shape {rows.shape}, "
                     f"expected (heads, {expected})"
+                )
+            if not rows.min() >= 0.0:  # also false for NaN
+                _check_finite("decode attention", rows, (l,))
+                h, n = np.argwhere(rows < 0.0)[0]
+                raise ValidationError(
+                    f"negative attention score {rows[h, n]:.6g} at layer {l} head {h} "
+                    f"entry {n} during decode"
                 )
             sums = rows.sum(axis=1)
             off = np.abs(sums - 1.0) > ROW_SUM_TOL
@@ -363,8 +371,7 @@ def prefill_compress(
             sinks = min(config.sink_count or 0, count)
             keep = np.concatenate((np.arange(sinks), np.arange(N - count + sinks, N)))
         else:
-            ranked = np.lexsort((np.arange(N), -profile.normalized[l]))
-            keep = np.sort(ranked[:count])
+            keep = np.sort(profile.order[l][:count])
         dropped = np.ones(N, dtype=bool)
         dropped[keep] = False
         state.hard_evicted[l] = np.flatnonzero(dropped).tolist()
@@ -490,48 +497,12 @@ def replay_steps(trace: AttentionTrace, state: CacheState, steps: int) -> None:
         state.decode_step(rows, kv)
 
 
-def replay_decode(
-    trace: AttentionTrace,
-    config: PrefixConfiguration,
-    steps: int,
-    protect_distance: int = DEFAULT_PROTECT_DISTANCE,
-    merge_policy: str = "none",
-) -> CacheState:
-    """Prefill on the configuration's window, then replay decode steps."""
-    prefill = trace_prefix(trace, config.seq_len)
-    state = prefill_compress(prefill, config, protect_distance=protect_distance,
-                             merge_policy=merge_policy)
-    replay_steps(trace, state, steps)
-    return state
-
-
-@dataclass(frozen=True)
-class DisturbanceReport:
-    """Feature drift between compressed and full-cache decoding.
-
-    ``mae`` has shape (layers, decoded tokens): the mean absolute error
-    of each layer's post-attention features, token by token, under
-    teacher forcing with the full-cache run's token choices.
-    """
-
-    budget_r: float
-    mae: np.ndarray
-
-    @property
-    def per_layer_mae(self) -> np.ndarray:
-        return self.mae.mean(axis=1)
-
-    @property
-    def per_token_mae(self) -> np.ndarray:
-        return self.mae.mean(axis=0)
-
-
 def disturbance(
     model: ToyModel,
     trace: AttentionTrace,
     reference: tuple[np.ndarray, np.ndarray],
     state: CacheState,
-) -> DisturbanceReport:
+) -> np.ndarray:
     """Measure per-layer feature MAE caused by cache compression.
 
     ``trace`` is the prompt's forward trace, ``reference`` the
@@ -540,8 +511,10 @@ def disturbance(
     compressed run is teacher-forced with the reference's token choices,
     so the error isolates representation drift rather than compounding
     token divergence. ``state`` advances by the decoded tokens.
+
+    Returns the (layers, decoded tokens) mean absolute error of each
+    layer's post-attention features, token by token.
     """
     tokens, full_features = reference
     _, test_features = decode(model, trace, len(tokens), state, forced_tokens=tokens)
-    mae = np.abs(full_features - test_features).mean(axis=2).T
-    return DisturbanceReport(budget_r=state.config.budget.r, mae=mae)
+    return np.abs(full_features - test_features).mean(axis=2).T

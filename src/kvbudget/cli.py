@@ -15,19 +15,20 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import errno
 import functools
+import itertools
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .allocator import (
+    OFFLINE_METHODS,
     POLICIES,
     BudgetSpec,
     baseline_config,
@@ -49,7 +50,7 @@ from .errors import BudgetError, KVBudgetError, ParseError, UsageError, Validati
 from .importance import compute_importance, priority_sequence
 from .lorenz import layer_stats
 from .toymodel import ToyModel, decode, forward_trace
-from .trace import AttentionTrace, load_trace, save_trace, synth_trace, trace_prefix
+from .trace import AttentionTrace, _check_size, load_trace, save_trace, synth_trace, trace_prefix
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,10 +66,8 @@ def _default_seed() -> int:
         raise UsageError(f"KVBUDGET_SEED must be an integer, got {env!r}") from exc
 
 
-def parse_budget(value) -> float:
+def parse_budget(value: str) -> float:
     """Accept fractions ("0.5") or percentages ("50%")."""
-    if isinstance(value, (int, float)):
-        return float(value)
     text = value.strip()
     try:
         if text.endswith("%"):
@@ -78,21 +77,25 @@ def parse_budget(value) -> float:
         raise UsageError(f"cannot parse budget {value!r}") from exc
 
 
-def _parse_budget_list(value) -> list[float]:
-    if isinstance(value, list):
-        return [parse_budget(v) for v in value]
-    items = [item for item in str(value).split(",") if item.strip()]
+def _parse_budget_list(value: str) -> list[float]:
+    items = [item for item in value.split(",") if item.strip()]
     if not items:
         raise UsageError("budget list is empty")
     return [parse_budget(item) for item in items]
 
 
-def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write text lines, each ending in its own newline, as they are generated."""
+    with open(path, "w") as handle:
+        handle.writelines(lines)
+
+
+def _csv(header: list[str], rows: Iterable[list]) -> Iterator[str]:
+    """CSV lines with floats as ``repr``. No cell needs quoting: every
+    string cell is a name from a fixed choice list."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n"
 
 
 def _write_manifest(path: str, command: str, args: argparse.Namespace,
@@ -193,6 +196,7 @@ def _prompt_trace(model: ToyModel, prompt_len: int) -> AttentionTrace:
     """Forward trace of the seeded prompt a toy model is measured on."""
     if prompt_len < 1:
         raise UsageError(f"prompt length must be at least 1, got {prompt_len}")
+    _check_size("attention", (model.layers, model.heads, prompt_len, prompt_len))
     prompt = np.random.default_rng(model.seed).integers(0, model.vocab, size=prompt_len)
     return forward_trace(model, prompt)
 
@@ -223,8 +227,7 @@ class _Run:
     def plan(self, policy: str, budget: BudgetSpec, sink: int):
         if policy == "prefixkv":
             return plan_online(self.seq, budget)
-        return baseline_config(policy, budget, self.prefill.meta,
-                               sink_count=sink if policy == "local" else None)
+        return baseline_config(policy, budget, self.prefill.meta, sink_count=sink)
 
     def compress(self, config, protect: int, merge: str):
         return prefill_compress(self.prefill, config, protect_distance=protect,
@@ -269,7 +272,7 @@ def run_synth(args: argparse.Namespace) -> list[str]:
         args.seed = _default_seed()
     if args.mode == "dirichlet":
         try:
-            values = [float(v) for v in str(args.concentration).split(",") if v.strip()]
+            values = [float(v) for v in args.concentration.split(",") if v.strip()]
         except ValueError as exc:
             raise UsageError(f"cannot parse --concentration {args.concentration!r}") from exc
         if len(values) == 1:
@@ -296,14 +299,15 @@ def run_analyze(args: argparse.Namespace) -> list[str]:
         if not 0 <= args.layer < trace.meta.layers:
             raise ValidationError(f"layer {args.layer} out of range")
         stats = [stats[args.layer]]
-    # Curve rows are generated while the file is written, never held as lists.
-    curve_rows = ([s.layer, x, y] for s in stats
-                  for x, y in zip(s.curve.x.tolist(), s.curve.y.tolist()))
+    # Curve lines are made one layer's block at a time, while the file is written.
+    curves = ("".join(f"{s.layer},{x!r},{y!r}\n"
+                      for x, y in zip(s.curve.x.tolist(), s.curve.y.tolist()))
+              for s in stats)
     return _commit("analyze", args, [args.trace], [
-        (args.out_curves, functools.partial(_write_csv, header=["layer", "x", "y"],
-                                            rows=curve_rows)),
-        (args.out_stats, functools.partial(_write_csv, header=["layer", "gini"],
-                                           rows=[[s.layer, s.gini] for s in stats])),
+        (args.out_curves, functools.partial(
+            _write_lines, lines=itertools.chain(["layer,x,y\n"], curves))),
+        (args.out_stats, functools.partial(
+            _write_lines, lines=_csv(["layer", "gini"], [[s.layer, s.gini] for s in stats]))),
     ])
 
 
@@ -333,21 +337,16 @@ def run_plan(args: argparse.Namespace) -> list[str]:
 # simulate
 # --------------------------------------------------------------------------
 
-def _write_log(path: str, step_log: list[dict]) -> None:
-    with open(path, "w") as handle:
-        for record in step_log:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-
 def _sim_writes(args, state, prefill_info) -> list[tuple[str, Callable[[str], None]]]:
     info_rows = [[0, l, float(v)] for l, v in enumerate(prefill_info)]
     for record in state.step_log:
         for l, v in enumerate(record["retained_info"]):
             info_rows.append([record["step"], l, float(v)])
+    log = (json.dumps(record, sort_keys=True) + "\n" for record in state.step_log)
     return [
-        (args.out_log, functools.partial(_write_log, step_log=state.step_log)),
-        (args.out_info, functools.partial(_write_csv, header=["step", "layer", "retained_info"],
-                                          rows=info_rows)),
+        (args.out_log, functools.partial(_write_lines, lines=log)),
+        (args.out_info, functools.partial(
+            _write_lines, lines=_csv(["step", "layer", "retained_info"], info_rows))),
     ]
 
 
@@ -382,11 +381,11 @@ def run_simulate(args: argparse.Namespace) -> list[str]:
     if args.disturb:
         # The logged run decoded its own tokens; disturbance teacher-forces
         # the reference's, so it starts from a fresh compressed prefill.
-        report = disturbance(run.model, run.trace, run.reference(args.steps, args.protect),
-                             run.compress(config, args.protect, args.merge))
-        rows = [[l, t, float(v)] for (l, t), v in np.ndenumerate(report.mae)]
+        mae = disturbance(run.model, run.trace, run.reference(args.steps, args.protect),
+                          run.compress(config, args.protect, args.merge))
+        rows = [[l, t, float(v)] for (l, t), v in np.ndenumerate(mae)]
         writes.append((args.out_disturb, functools.partial(
-            _write_csv, header=["layer", "token_index", "mae"], rows=rows)))
+            _write_lines, lines=_csv(["layer", "token_index", "mae"], rows))))
     return _commit("simulate", args, inputs, writes)
 
 
@@ -403,17 +402,17 @@ def _compare_cell(run: _Run, reference, config, args: argparse.Namespace,
     info = retained_info(state, state.report_profile)
     cell = [float(info.min()), float(info.mean())]
     if reference is not None:
-        cell.append(float(disturbance(run.model, run.trace, reference, state).mae.mean()))
+        cell.append(float(disturbance(run.model, run.trace, reference, state).mean()))
     return cell
 
 
 def run_compare(args: argparse.Namespace) -> list[str]:
     budgets = _parse_budget_list(args.budgets)
     args.budgets = ",".join(repr(b) for b in budgets)
-    policies = [p for p in str(args.policies).split(",") if p]
-    merges = [m for m in str(args.merge).split(",") if m]
-    if not budgets or not policies or not merges:
-        raise UsageError("budgets, policies and merge modes must be non-empty")
+    policies = [p for p in args.policies.split(",") if p]
+    merges = [m for m in args.merge.split(",") if m]
+    if not policies or not merges:
+        raise UsageError("policies and merge modes must be non-empty")
     if (args.traces is None or not args.traces) == (args.toy_seed is None):
         raise UsageError("pass trace files or --toy-seed, not both")
     _check_run_flags(args)
@@ -443,21 +442,12 @@ def run_compare(args: argparse.Namespace) -> list[str]:
                              *(float(np.mean(column)) for column in zip(*cells))])
 
     return _commit("compare", args, inputs,
-                   [(args.out, functools.partial(_write_csv, header=header, rows=rows))])
+                   [(args.out, functools.partial(_write_lines, lines=_csv(header, rows)))])
 
 
 # --------------------------------------------------------------------------
 # replay
 # --------------------------------------------------------------------------
-
-RUNNERS = {
-    "synth": run_synth,
-    "analyze": run_analyze,
-    "plan": run_plan,
-    "simulate": run_simulate,
-    "compare": run_compare,
-}
-
 
 def run_replay(args: argparse.Namespace) -> list[str]:
     try:
@@ -466,16 +456,14 @@ def run_replay(args: argparse.Namespace) -> list[str]:
         raise ParseError(f"cannot read manifest {args.manifest}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ParseError("manifest must be a JSON object")
-    command = manifest.get("command")
-    if command not in RUNNERS:
-        raise ParseError(f"manifest names unknown command {command!r}")
     params = manifest.get("params")
     if not isinstance(params, dict):
         raise ParseError("manifest field 'params' must be an object")
-    return RUNNERS[command](_recorded_args(command, params))
+    recorded = _recorded_args(manifest.get("command"), params)
+    return recorded.func(recorded)
 
 
-def _recorded_args(command: str, params: dict) -> argparse.Namespace:
+def _recorded_args(command, params: dict) -> argparse.Namespace:
     """Parse a manifest's recorded parameters again, as the command line they stand for.
 
     Every value goes back through its own flag, so a manifest meets the
@@ -483,8 +471,12 @@ def _recorded_args(command: str, params: dict) -> argparse.Namespace:
     run parses to the namespace it was recorded from.
     """
     parser = build_parser()
+    commands = _subcommands(parser)
+    # A list, not the dict: a recorded command may be any JSON value.
+    if command not in [name for name in commands if name != "replay"]:
+        raise ParseError(f"manifest names unknown command {command!r}")
     options, positionals, known = [], [], {"command"}
-    for action in _subcommands(parser)[command]._actions:
+    for action in commands[command]._actions:
         if action.dest == "help":
             continue
         known.add(action.dest)
@@ -556,8 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sink", type=int, default=4, help="sink positions for the local policy")
     p.add_argument("--offline", action="store_true",
                    help="estimate one configuration from several sample traces")
-    p.add_argument("--method", choices=["per-sample-mean", "pooled-curve"],
-                   default="per-sample-mean")
+    p.add_argument("--method", choices=OFFLINE_METHODS, default=OFFLINE_METHODS[0])
     p.add_argument("--prefill", type=int, default=None,
                    help="plan on the first K positions only")
     p.add_argument("--out", default="config.json")
@@ -584,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="sweep budgets x policies x merge modes")
     p.add_argument("--budgets", required=True, help="comma-separated budget list")
-    p.add_argument("--policies", default="prefixkv,uniform,pyramid,local")
+    p.add_argument("--policies", default=",".join(POLICIES))
     p.add_argument("--merge", default="none")
     _add_budget_flags(p)
     p.add_argument("--sink", type=int, default=4)

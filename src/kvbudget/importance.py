@@ -30,31 +30,34 @@ class ImportanceProfile:
     ``raw[l][n]`` is accumulated attention mass; ``normalized[l]`` sums
     to 1 for every layer. Both arrays are read-only, and for a shortcut
     trace ``raw`` is a view of the trace's ``importance``.
+
+    ``order[l]``, the positions by decreasing normalized importance (ties
+    to the lower position), is the ranking prefill compression keeps a
+    prefix of. It is computed on first access; planning never reads it.
     """
 
     meta: TraceMeta
     raw: np.ndarray
     normalized: np.ndarray
 
+    @cached_property
+    def order(self) -> np.ndarray:
+        order = np.argsort(-self.normalized, axis=1, kind="stable")
+        order.flags.writeable = False
+        return order
+
 
 @dataclass(frozen=True)
 class PrioritySequence:
-    """Cumulative priorities, plus a lazy diagnostic ordering.
+    """Cumulative priorities.
 
     ``cumulative[l][j]`` is the total importance share captured by the
-    top ``j + 1`` positions. ``order[l]``, the positions by decreasing
-    normalized importance (ties to the lower position), is computed only
-    on first access; planning never reads it. ``cumulative`` is
+    top ``j + 1`` positions of ``ImportanceProfile.order[l]``. It is
     read-only.
     """
 
     meta: TraceMeta
-    normalized: np.ndarray
     cumulative: np.ndarray
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        return np.argsort(-self.normalized, axis=1, kind="stable")
 
 
 def compute_importance(trace: AttentionTrace) -> ImportanceProfile:
@@ -95,4 +98,4 @@ def priority_sequence(profile: ImportanceProfile) -> PrioritySequence:
     np.cumsum(cumulative, axis=1, out=cumulative)
     np.negative(cumulative, out=cumulative)
     cumulative.flags.writeable = False
-    return PrioritySequence(profile.meta, profile.normalized, cumulative)
+    return PrioritySequence(profile.meta, cumulative)

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import MismatchError, UsageError
-from .trace import AttentionTrace, TraceMeta
+from .trace import AttentionTrace, TraceMeta, _check_size
 
 if TYPE_CHECKING:
     from .cachesim import CacheState
@@ -46,6 +46,8 @@ class ToyModel:
             raise UsageError(f"dim {dim} must be divisible by heads {heads}")
         if seed < 0:
             raise UsageError(f"seed must be nonnegative, got {seed}")
+        _check_size("toy embedding", (vocab, dim))
+        _check_size("toy layer weights", (layers, dim, dim))
         self.layers = layers
         self.heads = heads
         self.dim = dim

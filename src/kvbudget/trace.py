@@ -290,7 +290,7 @@ def _require(doc: dict, field: str, kind: type, where: str = "") -> object:
     if field not in doc:
         raise ParseError(f"missing field '{prefix}{field}'")
     value = doc[field]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise ParseError(f"field '{prefix}{field}' must be {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -430,13 +430,7 @@ def save_trace(trace: AttentionTrace, path: str | Path) -> None:
     ``load_trace(save_trace(t))`` round-trips bit-exactly in either form.
     """
     path = Path(path)
-    meta = {
-        "layers": trace.meta.layers,
-        "heads": trace.meta.heads,
-        "seq_len": trace.meta.seq_len,
-        "label": trace.meta.label,
-        "seed": trace.meta.seed,
-    }
+    meta = dataclasses.asdict(trace.meta)
     if _is_npz(path):
         arrays = {name: getattr(trace, name) for name in
                   ("attention", "importance", "keys", "values", "features")}

@@ -301,9 +301,9 @@ def test_09_disturbance_ordering():
         budget = BudgetSpec(r=0.5)
         reference = decode(model, trace, 8, full_cache_state(trace))
         pkv = disturbance(model, trace, reference,
-                          prefill_compress(trace, plan_online(seq, budget))).mae.mean()
+                          prefill_compress(trace, plan_online(seq, budget))).mean()
         uni = disturbance(model, trace, reference, prefill_compress(
-            trace, baseline_config("uniform", budget, trace.meta))).mae.mean()
+            trace, baseline_config("uniform", budget, trace.meta))).mean()
         pkv_means.append(pkv)
         uni_means.append(uni)
         wins += pkv <= uni
@@ -346,6 +346,6 @@ def test_10_trivial_budget_identity():
     ok &= bool(np.array_equal(full_feats, feats))
 
     mae = disturbance(model, toy_trace, (full_tokens, full_feats),
-                      prefill_compress(toy_trace, full_config)).mae
+                      prefill_compress(toy_trace, full_config))
     ok &= bool(np.all(mae == 0.0))
     report(10, ok, "no evictions, retained 1.0, identical decode, MAE exactly 0")

@@ -99,12 +99,15 @@ def unique_bracket_search(cumulative, budget):
     return SearchResult(p=p, steps=len(evaluated), delta_final=delta, converged=False)
 
 
-def random_seq(rng, layers=(2, 8), tokens=(8, 64)):
+def random_profile(rng, layers=(2, 8), tokens=(8, 64)):
     L = int(rng.integers(*layers))
     N = int(rng.integers(*tokens))
     conc = np.exp(rng.uniform(np.log(0.05), np.log(5.0), L))
-    trace = synth_trace(L, 1, N, conc, seed=int(rng.integers(2**31)))
-    return priority_sequence(compute_importance(trace))
+    return compute_importance(synth_trace(L, 1, N, conc, seed=int(rng.integers(2**31))))
+
+
+def random_seq(rng, layers=(2, 8), tokens=(8, 64)):
+    return priority_sequence(random_profile(rng, layers, tokens))
 
 
 @pytest.mark.parametrize("delta_tol", [float("nan"), float("inf"), -0.1])
@@ -512,13 +515,14 @@ def test_config_rejects_non_finite_and_mistyped_numbers(tmp_path, two_layer_seq,
 
 def test_planning_never_builds_the_order_permutation():
     rng = np.random.default_rng(8)
-    seqs = [random_seq(rng, layers=(3, 4), tokens=(24, 40)) for _ in range(2)]
+    profiles = [random_profile(rng, layers=(3, 4), tokens=(24, 40)) for _ in range(2)]
+    seqs = [priority_sequence(profile) for profile in profiles]
     budget = BudgetSpec(r=0.4)
     for seq in seqs:
         plan_online(seq, budget)
         layer_stats(seq)
     for method in ("per-sample-mean", "pooled-curve"):
         estimate_offline(seqs, budget, method=method)
-    assert all("order" not in vars(seq) for seq in seqs)
-    assert seqs[0].order.shape == seqs[0].cumulative.shape
-    assert "order" in vars(seqs[0])
+    assert all("order" not in vars(profile) for profile in profiles)
+    assert profiles[0].order.shape == seqs[0].cumulative.shape
+    assert "order" in vars(profiles[0])

@@ -6,6 +6,7 @@ from kvbudget import (
     CacheEntry,
     CacheState,
     MismatchError,
+    UsageError,
     ValidationError,
     baseline_config,
     compute_importance,
@@ -17,7 +18,6 @@ from kvbudget import (
     plan_online,
     prefill_compress,
     priority_sequence,
-    replay_decode,
     replay_steps,
     retained_info,
     synth_trace,
@@ -185,8 +185,20 @@ class TestDecodeStep:
         state = make_state([0.5], [0], 1, 1)
         with pytest.raises(ValidationError, match="shape"):
             state.decode_step([np.full((1, 5), 0.2)])
+        with pytest.raises(ValidationError, match=r"shape \(0, 2\)"):
+            state.decode_step([np.empty((0, 2))])  # no heads: the head mean is 0/0
         with pytest.raises(ValidationError, match="row sum"):
             state.decode_step([np.array([[0.6, 0.6]])])
+        # Neither row fails the row-sum test: NaN compares false and the
+        # negative score is offset by the other.
+        with pytest.raises(ValidationError,
+                           match=r"non-finite decode attention value nan at index \(0, 0, 0\)"):
+            state.decode_step([np.array([[np.nan, 1.0]])])
+        with pytest.raises(ValidationError,
+                           match="negative attention score -0.5 at layer 0 head 0 entry 0"):
+            state.decode_step([np.array([[-0.5, 1.5]])])
+        assert state.live_positions(0) == [0] and state.current_len == 1
+        assert not state.step_log
 
     def test_capacity_tracks_growing_length(self):
         trace = shortcut_trace([[1.0] * 10])
@@ -197,7 +209,7 @@ class TestDecodeStep:
             t = state.current_len
             assert len(state.layer_caches[0]) <= max(1, int(0.5 * t)) + 1
 
-    @pytest.mark.parametrize("bad", ["row sum", "shape"])
+    @pytest.mark.parametrize("bad", ["row sum", "shape", "negative", "non-finite"])
     def test_rejected_step_leaves_state_untouched(self, bad):
         # Layers 0-1 would absorb the step and evict before layer 2's rows
         # are checked if validation ran inside the mutation loop.
@@ -214,7 +226,16 @@ class TestDecodeStep:
                     state.current_len)
 
         before = snapshot()
-        broken = rows[:2] + [rows[2] * 1.5 if bad == "row sum" else rows[2][:, 1:]]
+        last = rows[2].copy()
+        if bad == "row sum":
+            last *= 1.5
+        elif bad == "shape":
+            last = last[:, 1:]
+        elif bad == "negative":
+            last[0, :2] += (-1.0, 1.0)  # the row still sums to 1
+        else:
+            last[0, 0] = np.nan
+        broken = rows[:2] + [last]
         with pytest.raises(ValidationError, match=bad):
             state.decode_step(broken, kv)
         assert snapshot() == before
@@ -242,6 +263,18 @@ class TestDecodeStep:
         with pytest.raises(ValueError, match="ascending"):
             state.set_layer(0, [1, 1], [0.1, 0.2])
         assert state.live_positions(0) == [0]
+
+    def test_set_layer_rejects_positions_outside_the_sequence_and_bad_layers(self):
+        # [0, 40] on a 12-token state used to be accepted; the next step then
+        # appended position 12 after 40, breaking the ascending order.
+        state = make_state([0.5] * 12, list(range(12)), 12, 6)
+        for positions in ([0, 40], [0, 12], [-1, 3]):
+            with pytest.raises(UsageError, match=r"positions must lie in \[0, 12\)"):
+                state.set_layer(0, positions, [0.1, 0.2])
+        for layer in (-1, 1):
+            with pytest.raises(UsageError, match=rf"layer {layer} outside \[0, 1\)"):
+                state.set_layer(layer, [0], [0.1])
+        assert state.live_positions(0) == list(range(12))
 
     def test_feature_merge_exact_tie_goes_to_lower_position(self):
         # Positions 0 and 5 hold bit-identical keys, so their cosine scores
@@ -417,15 +450,20 @@ class TestReplay:
             priority_sequence(compute_importance(trace_prefix(trace, 40))),
             BudgetSpec(r=0.5),
         )
-        a = replay_decode(trace, config, 8, protect_distance=4, merge_policy="position")
-        b = replay_decode(trace, config, 8, protect_distance=4, merge_policy="position")
-        assert a.step_log == b.step_log
+        logs = []
+        for _ in range(2):
+            state = prefill_compress(trace_prefix(trace, 40), config, protect_distance=4,
+                                     merge_policy="position")
+            replay_steps(trace, state, 8)
+            logs.append(state.step_log)
+        assert logs[0] == logs[1]
 
     def test_too_short_trace_rejected(self):
         trace = self._trace(seed=1, n=48)
         config = plan_online(priority_sequence(compute_importance(trace)), BudgetSpec(r=0.5))
+        state = prefill_compress(trace, config)
         with pytest.raises(MismatchError, match="decode steps"):
-            replay_decode(trace, config, 1)
+            replay_steps(trace, state, 1)
 
 
 class TestDisturbance:
@@ -437,9 +475,9 @@ class TestDisturbance:
         prompt = np.random.default_rng(model.seed).integers(0, model.vocab, 24)
         trace = forward_trace(model, prompt)
         reference = decode(model, trace, 6, full_cache_state(trace))
-        report = disturbance(model, trace, reference, prefill_compress(trace, config))
-        assert report.mae.shape == (4, 6)
-        assert np.all(report.mae == 0.0)
+        mae = disturbance(model, trace, reference, prefill_compress(trace, config))
+        assert mae.shape == (4, 6)
+        assert np.all(mae == 0.0)
 
     def test_error_nonnegative_and_positive_under_compression(self):
         model = ToyModel(layers=4, heads=2, dim=32, seed=6)
@@ -449,11 +487,9 @@ class TestDisturbance:
         config = plan_online(seq, BudgetSpec(r=0.3))
         reference = decode(model, trace, 6, full_cache_state(trace, protect_distance=2))
         state = prefill_compress(trace, config, protect_distance=2)
-        report = disturbance(model, trace, reference, state)
-        assert np.all(report.mae >= 0.0)
-        assert report.mae.mean() > 0.0
-        assert report.per_layer_mae.shape == (4,)
-        assert report.per_token_mae.shape == (6,)
+        mae = disturbance(model, trace, reference, state)
+        assert np.all(mae >= 0.0)
+        assert mae.mean() > 0.0
 
 
 def TraceMeta_for(model, n):

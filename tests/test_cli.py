@@ -220,12 +220,18 @@ class TestSimulate:
                     "--prompt-len", "24", "--steps", steps], tmp_path) == 2
 
 
-class TestGoldenOutputs:
-    """Trace-mode ``simulate`` output pinned byte for byte.
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
-    The digests were recorded from the per-entry cache implementation
-    that the array-backed one replaced; any drift in eviction order,
-    merge targets or retained shares changes them.
+
+class TestGoldenOutputs:
+    """Every kind of CLI output pinned byte for byte.
+
+    The trace-mode ``simulate`` digests were recorded from the per-entry
+    cache implementation that the array-backed one replaced; any drift in
+    eviction order, merge targets or retained shares changes them. The
+    others were recorded before the ranking, the CSV writer and the
+    replay path each got a single implementation.
     """
 
     LOG = {
@@ -234,20 +240,71 @@ class TestGoldenOutputs:
         "feature": "6bac7d4cf61033a74591d98cbead40dbdb43833749b1522d03c40227d76fb465",
     }
     INFO = "1b5a835c167f0ae39e8e86304962c3e0fce7a8f21f1911e0d982682b67ce606a"
+    ANALYZE = {
+        "lorenz.csv": "cb951c380a263002f41331936e2167b66fdb9dc54bfd486aa34488a16c698add",
+        "gini.csv": "e479be0b9752d31fb910823be17447d839a37cff6467645836cb6bd2c8859297",
+    }
+    PLAN = {
+        ("--policy", "prefixkv"):
+            "8181d651349461b5e8a89549849c20c9eba4adc9b25608591c5daab393e97f70",
+        ("--policy", "uniform"):
+            "3530348fe731f1f8f63a67f29554c56d5f14e43144fad03a9a97ed570d0283af",
+        ("--policy", "pyramid"):
+            "98afdac1ed31058016c0e5e031d06e6b0f6e61ab60eddad5cb1a0f23822ae152",
+        ("--policy", "local"):
+            "938581bba8db4803485f47631897f0e071aac61efdecb6b68732d5a00823295a",
+        ("--offline", "--method=per-sample-mean"):
+            "1a190969b58bbd3682686e054718598718bccceb474f3582558da9e81e056e1f",
+        ("--offline", "--method=pooled-curve"):
+            "bf9883966076ca6014f056bdb10d472e15d6fc8716a58ef20a5a2966893d5e85",
+    }
+    COMPARE = {
+        "trace": "c5c374afb0c9858fc1a6a054062e0563e17403bcfc35ba2a093f43d28d4e8d10",
+        "toy": "b47257b64ccc12967428f63b30cf3c92f9523361c901a61025b22e1be3e9edb2",
+    }
+    DISTURBANCE = "4001124c97e37893137dbf4bd386c3417c789ad371ecdadc79216fe3b83df370"
+    TOY = ["--toy-seed", "4", "--toy-layers", "2", "--toy-heads", "2", "--toy-dim", "8",
+           "--toy-vocab", "32", "--prompt-len", "16"]
 
-    @pytest.mark.parametrize("mode", ["none", "position", "feature"])
-    def test_simulate_digests(self, tmp_path, mode):
+    @pytest.fixture
+    def trace(self, tmp_path):
         assert run(["synth", "--layers", "3", "--heads", "2", "--seq", "72",
                     "--concentration", "0.1,1.0,4.0", "--kv", "--seed", "13",
                     "--out", "t.json"], tmp_path) == 0
+        return tmp_path / "t.json"
+
+    @pytest.mark.parametrize("mode", ["none", "position", "feature"])
+    def test_simulate_digests(self, tmp_path, trace, mode):
         assert run(["simulate", "--trace", "t.json", "--budget", "0.3", "--steps", "16",
                     "--merge", mode, "--protect", "4"], tmp_path) == 0
+        assert _digest(tmp_path / "sim.jsonl") == self.LOG[mode]
+        assert _digest(tmp_path / "retained_info.csv") == self.INFO
 
-        def digest(name):
-            return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    def test_analyze_digests(self, tmp_path, trace):
+        assert run(["analyze", "t.json"], tmp_path) == 0
+        assert {name: _digest(tmp_path / name) for name in self.ANALYZE} == self.ANALYZE
 
-        assert digest("sim.jsonl") == self.LOG[mode]
-        assert digest("retained_info.csv") == self.INFO
+    @pytest.mark.parametrize("flags", list(PLAN), ids=lambda flags: flags[-1].split("=")[-1])
+    def test_plan_digests(self, tmp_path, trace, flags):
+        assert run(["synth", "--layers", "3", "--heads", "1", "--seq", "48",
+                    "--concentration", "0.5", "--seed", "14", "--out", "t2.json"],
+                   tmp_path) == 0
+        traces = ["t.json", "t2.json"] if flags[0] == "--offline" else ["t.json"]
+        assert run(["plan", "--budget", "0.3", *flags, *traces], tmp_path) == 0
+        assert _digest(tmp_path / "config.json") == self.PLAN[flags]
+
+    @pytest.mark.parametrize("kind", ["trace", "toy"])
+    def test_compare_digests(self, tmp_path, trace, kind):
+        source = (["--steps", "4", "t.json"] if kind == "trace"
+                  else [*self.TOY, "--decode-len", "3", "--runs", "2"])
+        assert run(["compare", "--budgets", "0.2,50%", "--merge", "none,position",
+                    *source], tmp_path) == 0
+        assert _digest(tmp_path / "compare.csv") == self.COMPARE[kind]
+
+    def test_disturbance_digest(self, tmp_path):
+        assert run(["simulate", *self.TOY, "--budget", "0.4", "--steps", "4", "--disturb",
+                    "--merge", "feature"], tmp_path) == 0
+        assert _digest(tmp_path / "disturbance.csv") == self.DISTURBANCE
 
 
 class TestCompare:
@@ -344,7 +401,10 @@ class TestManifests:
          "parameter 'traces' must hold paths"),
         (lambda doc: {**doc, "params": {**doc["params"], "bogus": 1}},
          "['bogus'] do not belong to command 'plan'"),
-    ], ids=["list", "missing-param", "mistyped-param", "bool-flag", "paths", "unknown-param"])
+        (lambda doc: {**doc, "command": ["plan"]}, "unknown command ['plan']"),
+        (lambda doc: {**doc, "command": "replay"}, "unknown command 'replay'"),
+    ], ids=["list", "missing-param", "mistyped-param", "bool-flag", "paths", "unknown-param",
+            "command-list", "replay-command"])
     def test_replay_parses_recorded_params_like_a_command_line(self, tmp_path, capsys,
                                                                dirichlet_trace, corrupt, message):
         # Each of these used to end in a traceback (or, for an unknown
@@ -473,7 +533,6 @@ def test_output_path_naming_a_directory_exits_2(tmp_path, capsys, out):
 def test_parse_budget_forms():
     assert parse_budget("0.5") == 0.5
     assert parse_budget("50%") == 0.5
-    assert parse_budget(0.25) == 0.25
     with pytest.raises(Exception):
         parse_budget("half")
 
@@ -587,4 +646,23 @@ def test_oversized_synth_is_refused_before_allocating(tmp_path, capsys):
     # 10^12 positions: without the guard the first allocation fails at once.
     assert run(["synth", "--seq", str(10**12), "--out", "t.npz"], tmp_path) == 2
     assert "above the limit" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["synth", "--mode", "toy", "--layers", "1", "--heads", "1", "--dim", "4",
+      "--vocab", "64", "--seq", "2", "--out", "t.json"], "toy embedding of shape (64, 4)"),
+    (["synth", "--mode", "toy", "--layers", "3", "--heads", "1", "--dim", "4",
+      "--vocab", "8", "--seq", "2", "--out", "t.json"], "toy layer weights of shape (3, 4, 4)"),
+    (["compare", "--budgets", "0.5", "--toy-seed", "1", "--toy-layers", "1", "--toy-heads", "1",
+      "--toy-dim", "1", "--toy-vocab", "8", "--prompt-len", "8", "--runs", "1"],
+     "attention of shape (1, 1, 8, 8)"),
+], ids=["vocab", "layers", "prompt"])
+def test_oversized_toy_model_or_prompt_is_refused_before_allocating(tmp_path, capsys,
+                                                                    monkeypatch, argv, refused):
+    # A vocabulary of 2^40 or a prompt of 10^9 tokens used to end in a
+    # MemoryError traceback or an out-of-memory kill; a small limit stands in.
+    monkeypatch.setattr("kvbudget.trace.MAX_TRACE_ELEMENTS", 40)
+    assert run(argv, tmp_path) == 2
+    assert f"error: {refused} holds" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

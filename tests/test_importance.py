@@ -78,20 +78,20 @@ class TestComputeImportance:
 
 class TestPrioritySequence:
     def test_hand_example(self):
-        seq = priority_sequence(compute_importance(shortcut_trace([[0.2, 0.7, 0.05, 0.05]])))
-        assert seq.order[0].tolist() == [1, 0, 2, 3]
-        assert np.allclose(seq.cumulative[0], [0.7, 0.9, 0.95, 1.0])
-        assert seq.order[0].tolist() == sort_oracle([0.2, 0.7, 0.05, 0.05])
+        profile = compute_importance(shortcut_trace([[0.2, 0.7, 0.05, 0.05]]))
+        assert profile.order[0].tolist() == [1, 0, 2, 3]
+        assert np.allclose(priority_sequence(profile).cumulative[0], [0.7, 0.9, 0.95, 1.0])
+        assert profile.order[0].tolist() == sort_oracle([0.2, 0.7, 0.05, 0.05])
 
     def test_uniform_tie_break(self):
-        seq = priority_sequence(compute_importance(shortcut_trace([[1.0] * 4])))
-        assert seq.order[0].tolist() == [0, 1, 2, 3]
-        assert np.allclose(seq.cumulative[0], [0.25, 0.5, 0.75, 1.0])
+        profile = compute_importance(shortcut_trace([[1.0] * 4]))
+        assert profile.order[0].tolist() == [0, 1, 2, 3]
+        assert np.allclose(priority_sequence(profile).cumulative[0], [0.25, 0.5, 0.75, 1.0])
 
     def test_single_token(self):
-        seq = priority_sequence(compute_importance(shortcut_trace([[5.0]])))
-        assert seq.order[0].tolist() == [0]
-        assert np.allclose(seq.cumulative[0], [1.0])
+        profile = compute_importance(shortcut_trace([[5.0]]))
+        assert profile.order[0].tolist() == [0]
+        assert np.allclose(priority_sequence(profile).cumulative[0], [1.0])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -102,11 +102,12 @@ class TestPrioritySequence:
         )
     )
     def test_permutation_and_conservation(self, raw):
-        seq = priority_sequence(compute_importance(shortcut_trace(raw)))
+        profile = compute_importance(shortcut_trace(raw))
+        seq = priority_sequence(profile)
         L, N = raw.shape
         for l in range(L):
-            assert sorted(seq.order[l].tolist()) == list(range(N))
-            ranked = compute_importance(shortcut_trace(raw)).normalized[l][seq.order[l]]
+            assert sorted(profile.order[l].tolist()) == list(range(N))
+            ranked = profile.normalized[l][profile.order[l]]
             assert np.all(np.diff(ranked) <= 0)
             assert abs(seq.cumulative[l][-1] - 1.0) < 1e-9
             assert np.all(np.diff(seq.cumulative[l]) >= -1e-15)
@@ -118,10 +119,11 @@ class TestPrioritySequence:
         scale=st.sampled_from([0.5, 2.0, 3.7, 1000.0]),
     )
     def test_scale_invariance(self, raw, scale):
-        base = priority_sequence(compute_importance(shortcut_trace(raw)))
-        scaled = priority_sequence(compute_importance(shortcut_trace(raw * scale)))
+        base = compute_importance(shortcut_trace(raw))
+        scaled = compute_importance(shortcut_trace(raw * scale))
         assert np.array_equal(base.order, scaled.order)
-        assert np.allclose(base.cumulative, scaled.cumulative, atol=1e-12, rtol=0)
+        assert np.allclose(priority_sequence(base).cumulative,
+                           priority_sequence(scaled).cumulative, atol=1e-12, rtol=0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -133,14 +135,16 @@ class TestPrioritySequence:
     )
     def test_cumulative_matches_stable_argsort_gather(self, raw):
         # Few distinct values make ties the rule; the value sort must give
-        # the same bits as summing along the stable position-tie-broken order.
+        # the same bits as summing along the order, and the order must be
+        # the per-layer (value, then position) lexicographic ranking.
         raw[:, 0] += 1.0
-        normalized = compute_importance(shortcut_trace(raw)).normalized
-        order = np.argsort(-normalized, axis=1, kind="stable")
+        profile = compute_importance(shortcut_trace(raw))
+        normalized = profile.normalized
+        order = np.stack([np.lexsort((np.arange(len(row)), -row)) for row in normalized])
         expected = np.cumsum(np.take_along_axis(normalized, order, axis=1), axis=1)
-        seq = priority_sequence(compute_importance(shortcut_trace(raw)))
-        assert np.array_equal(seq.cumulative, expected)
-        assert np.array_equal(seq.order, order)
+        assert np.array_equal(priority_sequence(profile).cumulative, expected)
+        assert np.array_equal(profile.order, order)
+        assert not profile.order.flags.writeable
 
 
 class TestSharedReadOnlyArrays:

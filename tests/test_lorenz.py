@@ -160,7 +160,7 @@ class TestBlockStats:
         # A later layer fails another check, so its message would differ.
         cumulative[3] = broken[fault]
         cumulative[5] = broken["dip" if fault == "end" else "end"]
-        seq = PrioritySequence(good.meta, good.normalized, cumulative)
+        seq = PrioritySequence(good.meta, cumulative)
         message = {"dip": "curve dips below the equality line",
                    "decreasing": "y must be nondecreasing",
                    "end": "curve must end at (1, 1), got (1.0, 0.95)"}[fault]
