@@ -12,9 +12,10 @@ best-matching neighbour, whenever a layer runs over capacity. Entries
 within ``protect_distance`` of the newest position are never evicted or
 merged away.
 
-Each layer's live entries are parallel arrays in ascending position
-order, and one kernel, ``CacheState.decode_step``, serves both trace
-replay and toy-model decoding.
+The live entries of all layers sit in layer-major arrays, in ascending
+position order within a layer. One batched kernel checks, folds in and
+evicts a step on every layer at once; ``replay_steps`` feeds it gathered
+trace rows and ``CacheState.decode_step`` the rows a toy model computes.
 
 A CacheState is a single-writer object; independent simulations may run
 in parallel on separate states.
@@ -56,105 +57,55 @@ class CacheEntry:
     merged_from: list[int] = field(default_factory=list)
 
 
-def _padded(live: np.ndarray, axis: int) -> np.ndarray:
-    """Copy of ``live`` with free slots appended along its entry axis.
+# Position slots past a layer's live count hold this value: above every
+# position, so counting the positions below a cutoff needs no mask, and
+# clamping a padded row of positions to a bound reads the bound there.
+_NO_POSITION = np.iinfo(np.int64).max
 
-    The room grows with the entry count, so repeated appends cost
-    amortised constant time and slots follow a layer's own size.
-    """
+
+def _room(n: int) -> int:
+    """Slots for ``n`` entries. The room grows with the count, so repeated
+    appends cost amortised constant time and slots follow the cache's size."""
+    return n + n // 4 + 8
+
+
+def _padded(live: np.ndarray, axis: int) -> np.ndarray:
+    """Copy of ``live`` with free slots appended along its entry axis."""
     shape = list(live.shape)
     n = shape[axis]
-    shape[axis] = n + n // 4 + 8
+    shape[axis] = _room(n)
     out = np.empty(shape, dtype=live.dtype)
     out[(slice(None),) * axis + (slice(0, n),)] = live
     return out
 
 
-class _LayerCache:
-    """One layer's live entries as parallel arrays in ascending position order.
-
-    Slots ``[:n]`` are live. ``kv`` stacks the (H, slots, d) key and value
-    blocks, or is None for a cache without vectors; ``absorbed[i]`` is the
-    tuple of positions merged into entry ``i``, so its vectors average
-    over ``1 + len(absorbed[i])`` originals.
-    """
-
-    __slots__ = ("n", "pos", "acc", "kv", "absorbed")
-
-    def __init__(self, positions: np.ndarray, importance: np.ndarray, keys=None, values=None):
-        self.n = n = len(positions)
-        self.pos = _padded(positions, 0)
-        self.acc = _padded(importance, 0)
-        self.kv = None
-        if keys is not None:
-            heads, _, dim = keys.shape
-            self.kv = np.empty((2, heads, len(self.pos), dim))
-            self.kv[0, :, :n] = keys
-            self.kv[1, :, :n] = values
-        self.absorbed: list[tuple[int, ...]] = [()] * n
-
-    def append(self, position: int, importance: float, kv) -> None:
-        n = self.n
-        if n == len(self.pos):
-            self.pos, self.acc = _padded(self.pos, 0), _padded(self.acc, 0)
-            if self.kv is not None:
-                self.kv = _padded(self.kv, 2)
-        self.pos[n] = position
-        self.acc[n] = importance
-        if self.kv is not None:
-            self.kv[:, :, n] = kv
-        self.absorbed.append(())
-        self.n = n + 1
-
-    def remove(self, i: int):
-        """Drop entry ``i``, shifting the later ones down; returns what it held."""
-        n = self.n
-        kv = None
-        if self.kv is not None:
-            kv = self.kv[:, :, i].copy()
-            self.kv[:, :, i:n - 1] = self.kv[:, :, i + 1:n]
-        position = int(self.pos[i])
-        self.pos[i:n - 1] = self.pos[i + 1:n]
-        self.acc[i:n - 1] = self.acc[i + 1:n]
-        self.n = n - 1
-        return position, self.absorbed.pop(i), kv
-
-    def absorb(self, policy: str, position: int, absorbed, kv) -> int:
-        """Merge a removed entry into its best match; returns the winner's index."""
-        n = self.n
-        if self.kv is None:
-            w = _match(policy, position, None, self.pos[:n], None)
-        else:
-            w = _match(policy, position, kv[0], self.pos[:n], self.kv[0, :, :n])
-            self.kv[:, :, w] = _flat_mean(self.kv[:, :, w], 1 + len(self.absorbed[w]),
-                                          kv, 1 + len(absorbed))
-        self.absorbed[w] = self.absorbed[w] + (position,) + absorbed
-        return w
-
-    def entries(self) -> list[CacheEntry]:
-        n = self.n
-        keys = values = [None] * n
-        if self.kv is not None:
-            keys, values = self.kv[:, :, :n].transpose(0, 2, 1, 3).copy()
-        return [CacheEntry(p, a, k, v, list(m)) for p, a, k, v, m in
-                zip(self.pos[:n].tolist(), self.acc[:n].tolist(), keys, values, self.absorbed)]
-
-
 class _LayerEntries(Sequence):
     """``layer_caches[l]``: a fresh list of CacheEntry copies of layer l's live entries."""
 
-    def __init__(self, layers: list[_LayerCache]):
-        self._layers = layers
+    def __init__(self, state: CacheState):
+        self._state = state
 
     def __len__(self) -> int:
-        return len(self._layers)
+        return self._state.layers
 
     def __getitem__(self, layer: int) -> list[CacheEntry]:
-        return self._layers[layer].entries()
+        return self._state._entries(layer)
 
 
 class CacheState:
-    """Per-layer live caches plus the bookkeeping the invariants need."""
+    """Per-layer live caches plus the bookkeeping the invariants need.
+
+    The live entries are layer-major: row ``l`` of ``_pos`` and ``_acc``
+    holds layer ``l``'s positions in ascending order and their importance
+    accumulators in slots ``[:_n[l]]``. Past the live count, positions
+    read ``_NO_POSITION`` and accumulators 0, so a step can fold all
+    layers' zero-padded attention rows in with one add. ``_kv[l]`` stacks
+    the layer's (H, slots, d) key and value blocks, or is None for a cache
+    without vectors; it keeps its own slot count, so a small layer does
+    not pay for a large one. ``_merged[l]`` maps a live position to the
+    tuple of positions absorbed into it, so that entry's vectors average
+    over ``1 + len(tuple)`` originals.
+    """
 
     def __init__(
         self,
@@ -171,9 +122,14 @@ class CacheState:
         self.report_profile = profile
         self.protect_distance = int(protect_distance)
         self.merge_policy = merge_policy
-        self._layers = [_LayerCache(np.empty(0, dtype=np.int64), np.empty(0))
-                        for _ in range(config.layers)]
-        self.hard_evicted: list[list[int]] = [[] for _ in range(config.layers)]
+        L = config.layers
+        self._n = np.zeros(L, dtype=np.int64)
+        self._layer_index = np.arange(L)
+        self._pos = np.full((L, _room(0)), _NO_POSITION, dtype=np.int64)
+        self._acc = np.zeros((L, _room(0)))
+        self._kv: list[np.ndarray | None] = [None] * L
+        self._merged: list[dict[int, tuple[int, ...]]] = [{} for _ in range(L)]
+        self.hard_evicted: list[list[int]] = [[] for _ in range(L)]
         self.current_len = 0
         self.step_log: list[dict] = []
 
@@ -184,7 +140,31 @@ class CacheState:
     @property
     def layer_caches(self) -> Sequence[list[CacheEntry]]:
         """Per-layer snapshots of the live entries; changing them changes nothing here."""
-        return _LayerEntries(self._layers)
+        return _LayerEntries(self)
+
+    def _entries(self, layer: int) -> list[CacheEntry]:
+        n = int(self._n[layer])
+        positions = self._pos[layer, :n].tolist()
+        keys = values = [None] * n
+        if self._kv[layer] is not None:
+            keys, values = self._kv[layer][:, :, :n].transpose(0, 2, 1, 3).copy()
+        merged = self._merged[layer]
+        return [CacheEntry(p, a, k, v, list(merged.get(p, ()))) for p, a, k, v in
+                zip(positions, self._acc[layer, :n].tolist(), keys, values)]
+
+    def _reserve(self, count: int) -> None:
+        """Widen the position and accumulator rows to hold ``count`` entries.
+
+        Every change that grows a layer keeps one free slot past the
+        largest layer, so a step's block always fits the rows.
+        """
+        width = self._pos.shape[1]
+        if count > width:
+            pos = np.full((self.layers, _room(count)), _NO_POSITION, dtype=np.int64)
+            acc = np.zeros(pos.shape)
+            pos[:, :width] = self._pos
+            acc[:, :width] = self._acc
+            self._pos, self._acc = pos, acc
 
     def set_layer(self, layer: int, positions, importance, keys=None, values=None) -> None:
         """Replace a layer's live entries.
@@ -209,47 +189,47 @@ class CacheState:
             keys, values = np.asarray(keys, dtype=float), np.asarray(values, dtype=float)
             if keys.ndim != 3 or keys.shape[1] != len(positions) or values.shape != keys.shape:
                 raise UsageError("keys and values must have shape (heads, positions, dim)")
-        self._layers[layer] = _LayerCache(positions, importance, keys, values)
+        n = len(positions)
+        self._reserve(n + 1)
+        self._n[layer] = n
+        self._pos[layer] = _NO_POSITION
+        self._pos[layer, :n] = positions
+        self._acc[layer] = 0.0
+        self._acc[layer, :n] = importance
+        kv = None
+        if keys is not None:
+            heads, _, dim = keys.shape
+            kv = np.empty((2, heads, _room(n), dim))
+            kv[0, :, :n] = keys
+            kv[1, :, :n] = values
+        self._kv[layer] = kv
+        self._merged[layer] = {}
+
+    def _capacities(self) -> list[int]:
+        floor = self.config.budget.min_tokens_per_layer
+        return [max(floor, int(ratio * self.current_len)) for ratio in self.config.ratios.tolist()]
 
     def capacity(self, layer: int) -> int:
         """Current token allowance of a layer, re-derived from current_len."""
-        floor = self.config.budget.min_tokens_per_layer
-        return max(floor, int(self.config.ratios[layer] * self.current_len))
+        return self._capacities()[layer]
 
     def live_positions(self, layer: int) -> list[int]:
-        cache = self._layers[layer]
-        return cache.pos[:cache.n].tolist()
+        return self._pos[layer, :self._n[layer]].tolist()
 
     def live_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (H, n, d) views of a layer's live key and value vectors."""
-        cache = self._layers[layer]
-        if cache.kv is None:
+        if self._kv[layer] is None:
             raise MismatchError("cache entries carry no key/value vectors")
-        live = cache.kv[:, :, :cache.n]
+        live = self._kv[layer][:, :, :self._n[layer]]
         live.flags.writeable = False
         return live[0], live[1]
-
-    def _select_evictee(self, cache: _LayerCache) -> int | None:
-        """Index of the entry to evict, or None if everything is protected.
-
-        Entries at least ``protect_distance`` behind the newest position
-        form a prefix; among them the lowest accumulator goes, ties to the
-        lower position, or for the local policy the oldest non-sink entry.
-        """
-        live = cache.pos[:cache.n]
-        eligible = int(live.searchsorted(self.current_len - 1 - self.protect_distance,
-                                         side="right"))
-        if self.config.policy == "local":
-            first = int(live.searchsorted(self.config.sink_count or 0))
-            return first if first < eligible else None
-        return int(cache.acc[:eligible].argmin()) if eligible else None
 
     def decode_step(self, new_attention, new_kv=None) -> dict:
         """Fold one decoded token into every layer and enforce capacity.
 
         ``new_attention[l]`` holds per-head rows over the layer's live
         entries plus the new token itself, each row nonnegative and
-        normalized;
+        normalized, with the same head count on every layer;
         ``new_kv[l]`` is the ``(key, value)`` pair of shape (H, d) to
         store, required exactly when the cache holds vectors. Every
         layer's input is checked before any layer changes, so a rejected
@@ -261,73 +241,176 @@ class CacheState:
             raise ValidationError(
                 f"decode step inputs must cover the cache's {self.layers} layers"
             )
-        checked = []
-        for l, cache in enumerate(self._layers):
-            rows = np.asarray(new_attention[l], dtype=float)
-            expected = cache.n + 1
-            if rows.ndim != 2 or rows.shape[1] != expected or not len(rows):
-                raise ValidationError(
-                    f"attention rows for layer {l} have shape {rows.shape}, "
+        rows = [np.asarray(a, dtype=float) for a in new_attention]
+        kv = None if new_kv is None else [np.asarray(pair, dtype=float) for pair in new_kv]
+        heads = rows[0].shape[0] if rows[0].ndim == 2 else None
+        for l, (layer_rows, n) in enumerate(zip(rows, self._n.tolist())):
+            expected = n + 1
+            if layer_rows.ndim != 2 or layer_rows.shape[1] != expected or not len(layer_rows):
+                fault = ValidationError(
+                    f"attention rows for layer {l} have shape {layer_rows.shape}, "
                     f"expected (heads, {expected})"
                 )
-            if not rows.min() >= 0.0:  # also false for NaN
-                _check_finite("decode attention", rows, (l,))
-                h, n = np.argwhere(rows < 0.0)[0]
+            elif len(layer_rows) != heads:
+                fault = ValidationError(f"attention rows for layer {l} have "
+                                        f"{len(layer_rows)} heads, layer 0 has {heads}")
+            else:
+                continue
+            if l:  # a fault in an earlier layer is reported first
+                self._check_step(self._pack(rows[:l]), kv)
+            raise fault
+        block = self._pack(rows)
+        self._check_step(block, kv)
+        heads_contiguous = all(r.strides[0] == r.itemsize for r in rows)
+        return self._advance(_head_mean(block, heads_contiguous), kv)
+
+    def _pack(self, rows: list[np.ndarray]) -> np.ndarray:
+        """Per-layer (H, n_l + 1) rows as one zero-padded (slots, H, layers) block.
+
+        Heads are outermost in memory, so the head sum adds one head's
+        plane after another, as numpy does for C-ordered rows.
+        """
+        block = np.zeros((len(rows[0]), max(r.shape[1] for r in rows), len(rows)))
+        for l, layer_rows in enumerate(rows):
+            block[:, :layer_rows.shape[1], l] = layer_rows
+        return block.transpose(1, 0, 2)
+
+    def _check_step(self, block: np.ndarray, kv) -> None:
+        """Reject a step's input for the layers in ``block`` before any layer changes.
+
+        ``block`` is a zero-padded (slots, H, layers) block of attention
+        rows. The value checks run on all its layers at once; the first
+        faulty layer, and within it the first failing check, names the error.
+        """
+        sums = block.sum(axis=0)
+        off = np.abs(sums - 1.0)
+        bad = [False] * block.shape[2]
+        if not (block.min() >= 0.0 and off.max() <= ROW_SUM_TOL):  # NaN fails both
+            off = off > ROW_SUM_TOL
+            bad = (off.any(axis=0) | ~(block.min(axis=(0, 1)) >= 0.0)).tolist()
+        for l, faulty in enumerate(bad):
+            if faulty:
+                rows = block[:self._n[l] + 1, :, l].T
+                if not rows.min() >= 0.0:
+                    _check_finite("decode attention", rows, (l,))
+                    h, n = np.argwhere(rows < 0.0)[0]
+                    raise ValidationError(
+                        f"negative attention score {rows[h, n]:.6g} at layer {l} head {h} "
+                        f"entry {n} during decode"
+                    )
+                h = int(off[:, l].argmax())
                 raise ValidationError(
-                    f"negative attention score {rows[h, n]:.6g} at layer {l} head {h} "
-                    f"entry {n} during decode"
+                    f"row sum {sums[h, l]:.6g} at layer {l} head {h} during decode"
                 )
-            sums = rows.sum(axis=1)
-            off = np.abs(sums - 1.0) > ROW_SUM_TOL
-            if off.any():
-                h = int(np.argwhere(off)[0][0])
-                raise ValidationError(
-                    f"row sum {sums[h]:.6g} at layer {l} head {h} during decode"
-                )
-            if (new_kv is None) != (cache.kv is None):
+            cached = self._kv[l]
+            if (kv is None) != (cached is None):
                 raise MismatchError(f"layer {l}: pass new_kv exactly when the cache "
                                     "holds key/value vectors")
-            if self.merge_policy == "feature" and cache.kv is None:
+            if self.merge_policy == "feature" and cached is None:
                 raise MismatchError("feature merging requires key vectors on every entry")
-            kv = None
-            if new_kv is not None:
-                kv = np.asarray(new_kv[l], dtype=float)
-                shape = (2, cache.kv.shape[1], cache.kv.shape[3])
-                if kv.shape != shape:
+            if kv is not None:
+                shape = (2, cached.shape[1], cached.shape[3])
+                if kv[l].shape != shape:
                     raise ValidationError(f"key/value pair for layer {l} has shape "
-                                          f"{kv.shape}, expected {shape}")
-            checked.append((rows, kv))
+                                          f"{kv[l].shape}, expected {shape}")
 
-        position = self.current_len
-        self.current_len += 1
-        events: list[dict] = []
-        for l, (rows, kv) in enumerate(checked):
-            cache = self._layers[l]
-            received = rows.sum(axis=0) / len(rows)  # the head mean
-            cache.acc[:cache.n] += received[:-1]
-            cache.append(position, received[-1], kv)
-            capacity = self.capacity(l)
-            while cache.n > capacity:
-                idx = self._select_evictee(cache)
-                if idx is None:
-                    break  # everything in reach is protected; capacity resumes later
-                gone, absorbed, gone_kv = cache.remove(idx)
-                if self.merge_policy != "none" and cache.n:
-                    winner = cache.absorb(self.merge_policy, gone, absorbed, gone_kv)
-                    events.append({"layer": l, "pos": gone,
-                                   "merged_into": int(cache.pos[winner])})
-                else:
-                    self.hard_evicted[l].append(gone)
-                    events.append({"layer": l, "pos": gone, "merged_into": None})
+    def _advance(self, received: np.ndarray, kv) -> dict:
+        """Apply a checked step to every layer and log it.
+
+        ``received`` is the (slots, layers) head mean of the step's rows.
+        """
+        self._accumulate(received, kv)
+        events = self._enforce_capacity()
         record = {
             "step": len(self.step_log) + 1,
-            "layer_sizes": [cache.n for cache in self._layers],
+            "layer_sizes": self._n.tolist(),
             "evicted": events,
         }
         if self.report_profile is not None:
             record["retained_info"] = [float(v) for v in retained_info(self, self.report_profile)]
         self.step_log.append(record)
         return record
+
+    def _accumulate(self, received: np.ndarray, kv) -> None:
+        """Fold the head mean into every accumulator and append the new token."""
+        n = self._n
+        slots = n.tolist()
+        # Slot n[l] still holds 0, so it takes the new token's mean as is.
+        self._acc[:, :len(received)] += received.T
+        self._pos[self._layer_index, n] = self.current_len
+        if kv is not None:
+            for l, (cached, slot) in enumerate(zip(self._kv, slots)):
+                if slot == cached.shape[2]:
+                    cached = self._kv[l] = _padded(cached, 2)
+                cached[:, :, slot] = kv[l]
+        n += 1
+        self.current_len += 1
+        self._reserve(max(slots) + 2)
+
+    def _enforce_capacity(self) -> list[dict]:
+        """Evict until every layer fits its capacity or has nothing in reach."""
+        events = []
+        for l, (n, capacity) in enumerate(zip(self._n.tolist(), self._capacities())):
+            while n > capacity:
+                i = self._select_evictee(l, n)
+                if i is None:
+                    break  # everything in reach is protected; capacity resumes later
+                events.append(self._evict(l, i))
+                n -= 1
+        return events
+
+    def _select_evictee(self, layer: int, n: int) -> int | None:
+        """Index of the entry to evict from a layer of ``n`` entries, or None
+        if everything is protected.
+
+        Entries at least ``protect_distance`` behind the newest position
+        form a prefix; among them the lowest accumulator goes, ties to the
+        lower position, or for the local policy the oldest non-sink entry.
+        """
+        live = self._pos[layer, :n]
+        eligible = int(live.searchsorted(self.current_len - 1 - self.protect_distance,
+                                         side="right"))
+        if self.config.policy == "local":
+            first = int(live.searchsorted(self.config.sink_count or 0))
+            return first if first < eligible else None
+        return int(self._acc[layer, :eligible].argmin()) if eligible else None
+
+    def _evict(self, layer: int, i: int) -> dict:
+        """Remove entry ``i`` of a layer and merge it, or record it as hard-evicted."""
+        n = int(self._n[layer])
+        pos, acc, kv = self._pos[layer], self._acc[layer], self._kv[layer]
+        gone = int(pos[i])
+        # Slot n is free, so shifting it down too leaves padding in slot n - 1.
+        pos[i:n] = pos[i + 1:n + 1]
+        acc[i:n] = acc[i + 1:n + 1]
+        self._n[layer] = n - 1
+        gone_kv = None
+        if kv is not None:
+            gone_kv = kv[:, :, i].copy()
+            kv[:, :, i:n - 1] = kv[:, :, i + 1:n]
+        absorbed = self._merged[layer].pop(gone, ())
+        if self.merge_policy == "none" or n == 1:
+            self.hard_evicted[layer].append(gone)
+            return {"layer": layer, "pos": gone, "merged_into": None}
+        return {"layer": layer, "pos": gone,
+                "merged_into": self._absorb(layer, gone, absorbed, gone_kv)}
+
+    def _absorb(self, layer: int, position: int, absorbed: tuple[int, ...], kv) -> int:
+        """Merge a removed entry into its best match; returns the winner's position."""
+        n = int(self._n[layer])
+        live = self._pos[layer, :n]
+        block = self._kv[layer]
+        merged = self._merged[layer]
+        if block is None:
+            w = _match(self.merge_policy, position, None, live, None)
+        else:
+            w = _match(self.merge_policy, position, kv[0], live, block[0, :, :n])
+        winner = int(live[w])
+        held = merged.get(winner, ())
+        if block is not None:
+            block[:, :, w] = _flat_mean(block[:, :, w], 1 + len(held), kv, 1 + len(absorbed))
+        merged[winner] = held + (position,) + absorbed
+        return winner
 
 
 def prefill_compress(
@@ -455,14 +538,58 @@ def retained_info(state: CacheState, profile: ImportanceProfile) -> np.ndarray:
     Positions beyond the profile (tokens decoded after prefill) carry no
     share; merged-away positions do not count.
     """
-    horizon = profile.meta.seq_len
+    counts = (state._pos < profile.meta.seq_len).sum(axis=1)
     out = np.zeros(state.layers)
-    for l, cache in enumerate(state._layers):
-        live = cache.pos[:cache.n]
-        positions = live[:live.searchsorted(horizon)]
-        if len(positions):
-            out[l] = float(profile.normalized[l][positions].sum())
+    for l, count in enumerate(counts.tolist()):
+        if count:
+            out[l] = float(profile.normalized[l][state._pos[l, :count]].sum())
     return out
+
+
+def _head_mean(block: np.ndarray, heads_contiguous: bool) -> np.ndarray:
+    """(slots, layers) mean over the heads of a (slots, H, layers) block.
+
+    numpy sums over an axis pairwise when that axis is contiguous in
+    memory and one plane after another otherwise; the two orders differ
+    from 8 heads on. Each step's head sum follows the memory order of the
+    rows it came from: ``heads_contiguous`` for F-ordered rows, such as a
+    per-layer gather of trace rows, else the block's own order, in which
+    heads are never the contiguous axis of a multi-layer block.
+    """
+    heads = block.shape[1]
+    if heads_contiguous and heads >= 8:
+        return np.ascontiguousarray(block.transpose(0, 2, 1)).sum(axis=2) / heads
+    return block.sum(axis=1) / heads
+
+
+def _replay_block(trace: AttentionTrace, state: CacheState, m: int) -> np.ndarray:
+    """Row ``m`` of every layer over the live cache plus ``m``, renormalized.
+
+    Returns a zero-padded (slots, H, layers) block. With slots outermost,
+    each row sums sequentially along its entries, the order numpy takes
+    for a per-layer (H, n) gather of the same row, whose heads are
+    contiguous; trailing zeros leave the sum as it is. A one-head row is
+    contiguous and numpy sums it pairwise, so those sums go per layer.
+    """
+    L, H = state.layers, trace.meta.heads
+    n = state._n
+    rows = np.empty((L, H, m + 2))
+    rows[:, :, :m + 1] = trace.attention[:, :, m, :m + 1]
+    rows[:, :, m + 1] = 0.0  # read by the padding slots
+    index = np.minimum(state._pos[:, :int(n.max()) + 1], m + 1)
+    index[state._layer_index, n] = m
+    block = rows.take(index.T[:, None, :] + (np.arange(L) * H + np.arange(H)[:, None]) * (m + 2))
+    if H == 1:
+        sums = np.array([[block[:k + 1, 0, l].sum() for l, k in enumerate(n.tolist())]])
+    else:
+        sums = block.sum(axis=0)
+    empty = (sums == 0.0).any(axis=0)
+    if empty.any():
+        raise ValidationError(
+            f"attention row {m} of layer {int(empty.argmax())} has no mass on the live cache"
+        )
+    block /= sums
+    return block
 
 
 def replay_steps(trace: AttentionTrace, state: CacheState, steps: int) -> None:
@@ -472,6 +599,12 @@ def replay_steps(trace: AttentionTrace, state: CacheState, steps: int) -> None:
     and renormalized, standing in for attention a model would have
     computed over the compressed cache.
     """
+    if steps < 0:
+        raise UsageError(f"steps must be nonnegative, got {steps}")
+    if trace.meta.layers != state.layers:
+        raise MismatchError(
+            f"trace has {trace.meta.layers} layers, the cache has {state.layers}"
+        )
     N = trace.meta.seq_len
     n0 = state.current_len
     if n0 + steps > N:
@@ -482,19 +615,12 @@ def replay_steps(trace: AttentionTrace, state: CacheState, steps: int) -> None:
     if steps > 0 and trace.is_shortcut:
         raise MismatchError("importance-only traces carry no rows to replay")
     for m in range(n0, n0 + steps):
-        rows = []
-        kv = None if trace.keys is None else []
-        for l, cache in enumerate(state._layers):
-            segment = trace.attention[l][:, m, np.append(cache.pos[:cache.n], m)]
-            sums = segment.sum(axis=1, keepdims=True)
-            if (sums == 0.0).any():
-                raise ValidationError(
-                    f"attention row {m} of layer {l} has no mass on the live cache"
-                )
-            rows.append(segment / sums)
-            if kv is not None:
-                kv.append((trace.keys[l, :, m], trace.values[l, :, m]))
-        state.decode_step(rows, kv)
+        block = _replay_block(trace, state, m)
+        kv = None
+        if trace.keys is not None:
+            kv = np.stack((trace.keys[:, :, m], trace.values[:, :, m]), axis=1)
+        state._check_step(block, kv)
+        state._advance(_head_mean(block, heads_contiguous=True), kv)
 
 
 def disturbance(

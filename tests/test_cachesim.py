@@ -242,6 +242,18 @@ class TestDecodeStep:
         record = state.decode_step(rows, kv)
         assert any(ev["layer"] < 2 for ev in record["evicted"])
 
+    def test_head_count_must_match_layer_zero(self):
+        trace = synth_trace(3, 2, 24, [0.1, 1.0, 3.0], seed=5, with_kv=True)
+        state = prefill_compress(trace, plan_online(
+            priority_sequence(compute_importance(trace)), BudgetSpec(r=0.3)))
+        rows = [np.full((2, len(c) + 1), 1.0 / (len(c) + 1)) for c in state.layer_caches]
+        rows[2] = np.full((3, rows[2].shape[1]), 1.0 / rows[2].shape[1])
+        kv = [(np.ones((2, 16)), np.ones((2, 16)))] * 3
+        with pytest.raises(ValidationError,
+                           match="attention rows for layer 2 have 3 heads, layer 0 has 2"):
+            state.decode_step(rows, kv)
+        assert state.current_len == 24 and not state.step_log
+
     def test_layer_count_and_key_value_presence_checked(self):
         plain = make_state([0.5, 0.4], [0, 1], 2, 2)
         with pytest.raises(MismatchError, match="new_kv"):
@@ -464,6 +476,27 @@ class TestReplay:
         state = prefill_compress(trace, config)
         with pytest.raises(MismatchError, match="decode steps"):
             replay_steps(trace, state, 1)
+
+    def test_negative_steps_rejected(self):
+        trace = self._trace(seed=1, n=48)
+        state = prefill_compress(trace_prefix(trace, 40), plan_online(
+            priority_sequence(compute_importance(trace_prefix(trace, 40))), BudgetSpec(r=0.5)))
+        with pytest.raises(UsageError, match="steps must be nonnegative, got -1"):
+            replay_steps(trace, state, -1)
+        assert state.current_len == 40 and not state.step_log
+
+    @pytest.mark.parametrize("layers", [2, 4])
+    def test_layer_count_mismatch_rejected(self, layers):
+        # Fewer trace layers used to fail with an IndexError, more were
+        # silently cut down to the cache's layers.
+        trace = self._trace(seed=1, n=48)
+        prefix = trace_prefix(trace, 40)
+        state = prefill_compress(prefix, plan_online(
+            priority_sequence(compute_importance(prefix)), BudgetSpec(r=0.5)))
+        other = self._trace(seed=2, layers=layers, n=48)
+        with pytest.raises(MismatchError, match=f"trace has {layers} layers, the cache has 3"):
+            replay_steps(other, state, 1)
+        assert state.current_len == 40 and not state.step_log
 
 
 class TestDisturbance:
