@@ -272,18 +272,18 @@ def _realize(
 
 
 def finalize_config(
-    seq: PrioritySequence,
-    result: SearchResult,
-    budget: BudgetSpec,
-    *,
-    source: str = "online",
-    samples: int | None = None,
+    seq: PrioritySequence, result: SearchResult, budget: BudgetSpec
 ) -> PrefixConfiguration:
     """Turn a search result into an exact-budget configuration."""
-    raw = _ratios_at(seq.cumulative, result.p)
+    return _finalize(seq.cumulative, result, budget, "online", None)
+
+
+def _finalize(cumulative: np.ndarray, result: SearchResult, budget: BudgetSpec,
+              source: str, samples: int | None) -> PrefixConfiguration:
+    """Realize the ratios an (L, N) cumulative matrix gives at the searched threshold."""
     return _realize(
-        raw, budget, seq.meta.seq_len, policy="prefixkv", source=source,
-        threshold=result, samples=samples,
+        _ratios_at(cumulative, result.p), budget, cumulative.shape[1], policy="prefixkv",
+        source=source, threshold=result, samples=samples,
     )
 
 
@@ -327,12 +327,7 @@ def estimate_offline(
         for seq in sample_seqs:
             pooled += _resample_cumulative(seq.cumulative, n_star)
         pooled /= count
-        result = _search(pooled, budget)
-        raw = _ratios_at(pooled, result.p)
-        return _realize(
-            raw, budget, n_star, policy="prefixkv", source="offline",
-            threshold=result, samples=count,
-        )
+        return _finalize(pooled, _search(pooled, budget), budget, "offline", count)
 
     configs = [plan_online(seq, budget) for seq in sample_seqs]
     mean_ratios = np.mean([cfg.ratios for cfg in configs], axis=0)

@@ -63,19 +63,18 @@ class CacheEntry:
 _NO_POSITION = np.iinfo(np.int64).max
 
 
-def _room(n: int) -> int:
-    """Slots for ``n`` entries. The room grows with the count, so repeated
-    appends cost amortised constant time and slots follow the cache's size."""
-    return n + n // 4 + 8
+def _padded(live: np.ndarray, axis: int, count: int, fill=None) -> np.ndarray:
+    """Copy of ``live`` with room for ``count`` entries along its entry axis.
 
-
-def _padded(live: np.ndarray, axis: int) -> np.ndarray:
-    """Copy of ``live`` with free slots appended along its entry axis."""
+    The only place cache storage is sized. The room grows with the count,
+    so repeated appends cost amortised constant time and slots follow the
+    cache's size. Slots past ``live`` hold ``fill``, or are left unset
+    when it is None.
+    """
     shape = list(live.shape)
-    n = shape[axis]
-    shape[axis] = _room(n)
-    out = np.empty(shape, dtype=live.dtype)
-    out[(slice(None),) * axis + (slice(0, n),)] = live
+    shape[axis] = count + count // 4 + 8
+    out = np.empty(shape, live.dtype) if fill is None else np.full(shape, fill, live.dtype)
+    out[(slice(None),) * axis + (slice(0, live.shape[axis]),)] = live
     return out
 
 
@@ -125,8 +124,8 @@ class CacheState:
         L = config.layers
         self._n = np.zeros(L, dtype=np.int64)
         self._layer_index = np.arange(L)
-        self._pos = np.full((L, _room(0)), _NO_POSITION, dtype=np.int64)
-        self._acc = np.zeros((L, _room(0)))
+        self._pos = _padded(np.empty((L, 0), dtype=np.int64), 1, 0, _NO_POSITION)
+        self._acc = _padded(np.empty((L, 0)), 1, 0, 0.0)
         self._kv: list[np.ndarray | None] = [None] * L
         self._merged: list[dict[int, tuple[int, ...]]] = [{} for _ in range(L)]
         self.hard_evicted: list[list[int]] = [[] for _ in range(L)]
@@ -158,13 +157,9 @@ class CacheState:
         Every change that grows a layer keeps one free slot past the
         largest layer, so a step's block always fits the rows.
         """
-        width = self._pos.shape[1]
-        if count > width:
-            pos = np.full((self.layers, _room(count)), _NO_POSITION, dtype=np.int64)
-            acc = np.zeros(pos.shape)
-            pos[:, :width] = self._pos
-            acc[:, :width] = self._acc
-            self._pos, self._acc = pos, acc
+        if count > self._pos.shape[1]:
+            self._pos = _padded(self._pos, 1, count, _NO_POSITION)
+            self._acc = _padded(self._acc, 1, count, 0.0)
 
     def set_layer(self, layer: int, positions, importance, keys=None, values=None) -> None:
         """Replace a layer's live entries.
@@ -196,13 +191,7 @@ class CacheState:
         self._pos[layer, :n] = positions
         self._acc[layer] = 0.0
         self._acc[layer, :n] = importance
-        kv = None
-        if keys is not None:
-            heads, _, dim = keys.shape
-            kv = np.empty((2, heads, _room(n), dim))
-            kv[0, :, :n] = keys
-            kv[1, :, :n] = values
-        self._kv[layer] = kv
+        self._kv[layer] = None if keys is None else _padded(np.stack((keys, values)), 2, n)
         self._merged[layer] = {}
 
     def _capacities(self) -> list[int]:
@@ -341,7 +330,7 @@ class CacheState:
         if kv is not None:
             for l, (cached, slot) in enumerate(zip(self._kv, slots)):
                 if slot == cached.shape[2]:
-                    cached = self._kv[l] = _padded(cached, 2)
+                    cached = self._kv[l] = _padded(cached, 2, slot)
                 cached[:, :, slot] = kv[l]
         n += 1
         self.current_len += 1

@@ -434,10 +434,11 @@ def run_compare(args: argparse.Namespace) -> list[str]:
     for r in budgets:
         budget = _budget_from_args(args, r)
         for policy in policies:
+            # A plan does not depend on the merge mode, so every mode shares it.
+            configs = [run.plan(policy, budget, args.sink) for run in runs]
             for mode in merges:
-                cells = [_compare_cell(run, reference, run.plan(policy, budget, args.sink),
-                                       args, mode)
-                         for run, reference in zip(runs, references)]
+                cells = [_compare_cell(run, reference, config, args, mode)
+                         for run, reference, config in zip(runs, references, configs)]
                 rows.append([r, policy, mode,
                              *(float(np.mean(column)) for column in zip(*cells))])
 

@@ -164,10 +164,23 @@ def decode(
         raise MismatchError(
             f"cache holds {state.current_len} positions but prompt has {trace.meta.seq_len}"
         )
-    if forced_tokens is not None and len(forced_tokens) < steps:
-        raise UsageError("forced_tokens must cover every decode step")
-
+    if forced_tokens is not None:
+        if len(forced_tokens) < steps:
+            raise UsageError("forced_tokens must cover every decode step")
+        model._check_ids(np.asarray(forced_tokens, dtype=np.int64))
     L, H, hd = model.layers, model.heads, model.head_dim
+    shape = (trace.meta.layers, trace.meta.heads, trace.features.shape[2])
+    if shape != (L, H, model.dim):
+        raise MismatchError(f"trace has (layers, heads, width) {shape}, "
+                            f"the model {(L, H, model.dim)}")
+    if state.layers != L:
+        raise MismatchError(f"cache has {state.layers} layers, the model has {L}")
+    for l in range(L):
+        kv_shape = state.live_kv(l)[0].shape[::2]
+        if kv_shape != (H, hd):
+            raise MismatchError(f"layer {l} caches key/value vectors of shape (H, d) = "
+                                f"{kv_shape}, the model makes {(H, hd)}")
+
     # The first generated token comes from the prompt's final logits,
     # which compression (applied after prefill) does not affect.
     next_id = int(np.argmax(trace.features[-1, -1] @ model.unembedding))

@@ -25,7 +25,7 @@ from kvbudget import (
     ToyModel,
 )
 
-from conftest import shortcut_trace
+from conftest import full_trace, shortcut_trace
 
 
 def importance_config(counts, n, r, policy="prefixkv", sink=None):
@@ -497,6 +497,62 @@ class TestReplay:
         with pytest.raises(MismatchError, match=f"trace has {layers} layers, the cache has 3"):
             replay_steps(other, state, 1)
         assert state.current_len == 40 and not state.step_log
+
+    def test_full_budget_replay_grows_key_value_storage(self):
+        # A layer's key/value block starts with n0 // 4 + 8 free slots; at
+        # r = 1.0 nothing is evicted, so more steps than that grow it.
+        trace = self._trace(seed=3, n=80)
+        prefix = trace_prefix(trace, 40)
+        config = plan_online(priority_sequence(compute_importance(prefix)), BudgetSpec(r=1.0))
+        state = prefill_compress(prefix, config)
+        replay_steps(trace, state, 40)
+        assert state.hard_evicted == [[]] * 3
+        for l in range(3):
+            live = state.live_positions(l)
+            assert live == list(range(80))
+            keys, values = state.live_kv(l)
+            assert np.array_equal(keys, trace.keys[l][:, live])
+            assert np.array_equal(values, trace.values[l][:, live])
+
+    def test_position_merge_without_key_values(self):
+        trace = self._trace(seed=5, n=56, kv=False)
+        prefix = trace_prefix(trace, 40)
+        config = plan_online(priority_sequence(compute_importance(prefix)), BudgetSpec(r=0.3))
+        state = prefill_compress(prefix, config, protect_distance=2, merge_policy="position")
+        replay_steps(trace, state, 16)
+        events = [ev for record in state.step_log for ev in record["evicted"]]
+        assert events and all(ev["merged_into"] is not None for ev in events)
+        for l in range(3):
+            entries = state.layer_caches[l]
+            assert all(e.key is None and e.value is None for e in entries)
+            merged = [p for e in entries for p in e.merged_from]
+            assert sorted(state.live_positions(l) + merged + state.hard_evicted[l]) == \
+                list(range(56))
+            with pytest.raises(MismatchError, match="no key/value vectors"):
+                state.live_kv(l)
+
+    def test_row_without_mass_on_the_live_cache_rejected(self):
+        # Prefill keeps position 1 only; row 3 puts all its mass on position 0.
+        attention = np.array([[1.0, 0.0, 0.0, 0.0],
+                              [0.0, 1.0, 0.0, 0.0],
+                              [0.0, 1.0, 0.0, 0.0],
+                              [1.0, 0.0, 0.0, 0.0]])
+        trace = full_trace(attention)
+        state = prefill_compress(trace_prefix(trace, 3), importance_config([1], 3, 1 / 3))
+        assert state.live_positions(0) == [1]
+        with pytest.raises(ValidationError, match="attention row 3 of layer 0 has no mass "
+                                                  "on the live cache"):
+            replay_steps(trace, state, 1)
+        assert state.current_len == 3 and not state.step_log
+
+    def test_importance_only_trace_has_no_rows_to_replay(self):
+        state = prefill_compress(shortcut_trace([[0.5, 0.3, 0.2]]),
+                                 importance_config([2], 3, 2 / 3))
+        longer = shortcut_trace([[0.4, 0.3, 0.2, 0.1]])
+        with pytest.raises(MismatchError, match="importance-only traces carry no rows"):
+            replay_steps(longer, state, 1)
+        replay_steps(longer, state, 0)
+        assert state.current_len == 3 and not state.step_log
 
 
 class TestDisturbance:

@@ -205,6 +205,13 @@ class TestSimulate:
         assert run(["simulate", "--budget", "0.5", "--trace", "t.json",
                     "--steps", "4", "--disturb"], tmp_path) == 1
 
+    @pytest.mark.parametrize("steps", ["40", "41"])
+    def test_steps_leaving_no_prefill_exit_2(self, tmp_path, capsys, dirichlet_trace, steps):
+        assert run(["simulate", "--budget", "0.5", "--trace", "t.json",
+                    "--steps", steps], tmp_path) == 2
+        assert f"trace of length 40 too short for {steps} steps" in capsys.readouterr().err
+        assert not (tmp_path / "sim.jsonl").exists()
+
     def test_config_trace_length_mismatch(self, tmp_path, dirichlet_trace):
         run(["plan", "--budget", "0.5", "--out", "c.json", "t.json"], tmp_path)
         assert run(["simulate", "--config", "c.json", "--trace", "t.json",
@@ -592,6 +599,30 @@ class TestOneImportancePass:
                     "--toy-heads", "2", "--toy-dim", "16", "--prompt-len", "12",
                     "--decode-len", "3", "--runs", "2"], tmp_path) == 0
         assert len(calls) == 2
+
+
+@pytest.mark.parametrize("inputs", [["--steps", "4", "t1.json", "t2.json"],
+                                    ["--toy-seed", "4", "--toy-layers", "2", "--toy-heads", "2",
+                                     "--toy-dim", "16", "--prompt-len", "12", "--decode-len", "3",
+                                     "--runs", "2"]], ids=["trace", "toy"])
+def test_compare_plans_once_per_input_budget_and_policy(tmp_path, monkeypatch, inputs):
+    import kvbudget.cli
+
+    for seed in ("1", "2"):
+        assert run(["synth", "--layers", "2", "--heads", "2", "--seq", "30", "--kv",
+                    "--seed", seed, "--out", f"t{seed}.json"], tmp_path) == 0
+    plans = []
+    original = kvbudget.cli._Run.plan
+
+    def counted(self, policy, budget, sink):
+        plans.append((id(self), policy, budget.r))
+        return original(self, policy, budget, sink)
+
+    monkeypatch.setattr(kvbudget.cli._Run, "plan", counted)
+    assert run(["compare", "--budgets", "0.3,0.6", "--merge", "none,position,feature",
+                *inputs], tmp_path) == 0
+    # 2 inputs x 2 budgets x 4 policies, each shared by the 3 merge modes.
+    assert len(plans) == len(set(plans)) == 16
 
 
 class TestNpzTraces:

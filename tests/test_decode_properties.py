@@ -116,3 +116,35 @@ def test_decode_invariants(policy, merge, layers, heads, n0, steps, r, protect, 
             got = [ev["pos"] for ev in record["evicted"] if ev["layer"] == l]
             assert got == expected_evictions(before[0][l], rows[l].mean(axis=0), m,
                                              state.capacity(l), protect, local)
+
+
+@pytest.mark.parametrize("merge", ["position", "feature"])
+@settings(max_examples=25, deadline=None)
+@given(
+    layers=st.integers(1, 3),
+    heads=st.integers(1, 3),
+    n0=st.integers(12, 24),
+    steps=st.integers(1, 16),
+    r=st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+    protect=st.integers(1, 4),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_merged_vectors_are_flat_means_of_the_originals(merge, layers, heads, n0, steps, r,
+                                                        protect, seed):
+    """Every live key and value is the plain mean of the trace's vectors at
+    its own position and every position merged into it, however long the
+    chain of merges that built it."""
+    rng = np.random.default_rng(seed)
+    conc = np.exp(rng.uniform(np.log(0.1), np.log(4.0), layers))
+    trace = synth_trace(layers, heads, n0 + steps, conc, seed=seed, with_kv=True)
+    prefix = trace_prefix(trace, n0)
+    config = plan_online(priority_sequence(compute_importance(prefix)), BudgetSpec(r=r))
+    state = prefill_compress(prefix, config, protect_distance=protect, merge_policy=merge)
+    replay_steps(trace, state, steps)
+    for l in range(layers):
+        for entry in state.layer_caches[l]:
+            group = [entry.position, *entry.merged_from]
+            np.testing.assert_allclose(entry.key, trace.keys[l][:, group].mean(axis=1),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(entry.value, trace.values[l][:, group].mean(axis=1),
+                                       rtol=0, atol=1e-12)

@@ -19,9 +19,14 @@ from kvbudget import (
 )
 
 
+def model_like(**other):
+    """The ``model`` fixture's architecture with ``other`` changed."""
+    return ToyModel(**{**dict(layers=4, heads=2, dim=32, vocab=128, seed=1), **other})
+
+
 @pytest.fixture(scope="module")
 def model():
-    return ToyModel(layers=4, heads=2, dim=32, vocab=128, seed=1)
+    return model_like()
 
 
 def prompt_for(model, n=40):
@@ -143,3 +148,35 @@ class TestDecode:
         trace = forward_trace(model, prompt_for(model))
         with pytest.raises(ValueError, match="at least one"):
             decode(model, trace, 0, full_cache_state(trace))
+
+    @pytest.mark.parametrize("bad", [-1, 128])
+    def test_forced_tokens_outside_the_vocabulary_rejected(self, model, bad):
+        # Unchecked, -1 picks the last embedding row and 128 raises an IndexError.
+        trace = forward_trace(model, prompt_for(model, 20))
+        state = full_cache_state(trace)
+        with pytest.raises(UsageError, match=f"token id {bad} outside vocabulary of size 128"):
+            decode(model, trace, 2, state, forced_tokens=[bad, 3])
+        assert state.current_len == 20 and not state.step_log
+
+    @pytest.mark.parametrize("other", [dict(layers=5), dict(heads=4), dict(dim=16)],
+                             ids=["layers", "heads", "width"])
+    def test_trace_of_another_shape_rejected(self, model, other):
+        # Unchecked, more model layers than trace layers raise an IndexError,
+        # more heads numpy's concatenate ValueError, another width a matmul one.
+        wrong = model_like(**other)
+        trace = forward_trace(model, prompt_for(model, 20))
+        with pytest.raises(MismatchError, match=r"trace has \(layers, heads, width\)"):
+            decode(wrong, trace, 2, full_cache_state(trace))
+
+    @pytest.mark.parametrize("other, message", [
+        (dict(layers=5), "cache has 4 layers, the model has 5"),
+        (dict(heads=4), r"layer 0 caches key/value vectors of shape \(H, d\) = \(2, 16\)"),
+    ], ids=["layers", "heads"])
+    def test_cache_of_another_shape_rejected(self, model, other, message):
+        # The trace fits the model, but the cache was filled from another model's prompt.
+        wrong = model_like(**other)
+        trace = forward_trace(wrong, prompt_for(wrong, 20))
+        state = full_cache_state(forward_trace(model, prompt_for(model, 20)))
+        with pytest.raises(MismatchError, match=message):
+            decode(wrong, trace, 2, state)
+        assert state.current_len == 20 and not state.step_log

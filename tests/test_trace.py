@@ -194,6 +194,12 @@ class TestSynth:
         with pytest.raises(UsageError, match="positive and finite"):
             synth_trace(2, 1, 8, [0.5, bad], seed=0)
 
+    def test_rows_that_underflow_attend_to_themselves(self):
+        # At this concentration every gamma draw underflows to 0, so each
+        # row would sum to 0; the guard puts its whole mass on the diagonal.
+        trace = synth_trace(2, 2, 8, [1e-10, 1e-10], seed=0)
+        assert np.array_equal(trace.attention, np.broadcast_to(np.eye(8), (2, 2, 8, 8)))
+
     def test_kv_unit_norm(self):
         trace = synth_trace(1, 2, 8, [1.0], seed=3, with_kv=True)
         norms = np.linalg.norm(trace.keys, axis=-1)
