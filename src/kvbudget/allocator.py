@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BudgetError, MismatchError, ParseError, UsageError
 from .importance import PrioritySequence
-from .trace import TraceMeta
+from .trace import TraceMeta, _is_int
 
 POLICIES = ("prefixkv", "uniform", "pyramid", "local")
 OFFLINE_METHODS = ("per-sample-mean", "pooled-curve")
@@ -53,10 +53,11 @@ class BudgetSpec:
             raise BudgetError(f"compression ratio must be in (0, 1], got {self.r}")
         if not 0.0 <= self.delta_tol < math.inf:
             raise BudgetError(f"delta_tol must be finite and nonnegative, got {self.delta_tol}")
-        if self.max_steps < 1:
-            raise BudgetError(f"max_steps must be at least 1, got {self.max_steps}")
-        if self.min_tokens_per_layer < 0:
-            raise BudgetError("min_tokens_per_layer must be nonnegative")
+        if not _is_int(self.max_steps) or self.max_steps < 1:
+            raise BudgetError(f"max_steps must be an integer of at least 1, got {self.max_steps!r}")
+        if not _is_int(self.min_tokens_per_layer) or self.min_tokens_per_layer < 0:
+            raise BudgetError("min_tokens_per_layer must be a nonnegative integer, "
+                              f"got {self.min_tokens_per_layer!r}")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .allocator import BudgetSpec, PrefixConfiguration, baseline_config
 from .errors import MismatchError, UsageError, ValidationError
 from .importance import ImportanceProfile, compute_importance
 from .toymodel import ToyModel, decode
-from .trace import ROW_SUM_TOL, AttentionTrace, _check_finite
+from .trace import ROW_SUM_TOL, AttentionTrace, _check_finite, _is_int
 
 MERGE_POLICIES = ("none", "position", "feature")
 
@@ -113,8 +113,8 @@ class CacheState:
         protect_distance: int = DEFAULT_PROTECT_DISTANCE,
         merge_policy: str = "none",
     ):
-        if protect_distance < 1:
-            raise UsageError("protect_distance must be a positive count")
+        if not _is_int(protect_distance) or protect_distance < 1:
+            raise UsageError(f"protect_distance must be a positive count, got {protect_distance!r}")
         if merge_policy not in MERGE_POLICIES:
             raise UsageError(f"unknown merge policy {merge_policy!r}")
         self.config = config
@@ -168,8 +168,7 @@ class CacheState:
         ``importance`` seeds their accumulators; ``keys``/``values``, when
         given, have shape (H, len(positions), d).
         """
-        if not 0 <= layer < self.layers:
-            raise UsageError(f"layer {layer} outside [0, {self.layers})")
+        self._check_layer(layer)
         positions = np.asarray(positions, dtype=np.int64)
         importance = np.asarray(importance, dtype=float)
         if positions.ndim != 1 or (positions[1:] <= positions[:-1]).any():
@@ -194,19 +193,26 @@ class CacheState:
         self._kv[layer] = None if keys is None else _padded(np.stack((keys, values)), 2, n)
         self._merged[layer] = {}
 
+    def _check_layer(self, layer: int) -> None:
+        if not 0 <= layer < self.layers:
+            raise UsageError(f"layer {layer} outside [0, {self.layers})")
+
     def _capacities(self) -> list[int]:
         floor = self.config.budget.min_tokens_per_layer
         return [max(floor, int(ratio * self.current_len)) for ratio in self.config.ratios.tolist()]
 
     def capacity(self, layer: int) -> int:
         """Current token allowance of a layer, re-derived from current_len."""
+        self._check_layer(layer)
         return self._capacities()[layer]
 
     def live_positions(self, layer: int) -> list[int]:
+        self._check_layer(layer)
         return self._pos[layer, :self._n[layer]].tolist()
 
     def live_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (H, n, d) views of a layer's live key and value vectors."""
+        self._check_layer(layer)
         if self._kv[layer] is None:
             raise MismatchError("cache entries carry no key/value vectors")
         live = self._kv[layer][:, :, :self._n[layer]]

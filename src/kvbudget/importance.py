@@ -25,24 +25,32 @@ from .trace import AttentionTrace, TraceMeta
 
 @dataclass(frozen=True)
 class ImportanceProfile:
-    """Raw and normalized importance per layer and position.
+    """Raw importance per layer and position, and its per-layer totals.
 
-    ``raw[l][n]`` is accumulated attention mass; ``normalized[l]`` sums
-    to 1 for every layer. Both arrays are read-only, and for a shortcut
-    trace ``raw`` is a view of the trace's ``importance``.
+    ``raw[l][n]`` is accumulated attention mass and ``totals[l]`` its
+    positive, finite sum over the layer. Both arrays are read-only, and
+    for a shortcut trace ``raw`` is a view of the trace's ``importance``.
 
-    ``order[l]``, the positions by decreasing normalized importance (ties
-    to the lower position), is the ranking prefill compression keeps a
-    prefix of. It is computed on first access; planning never reads it.
+    ``normalized[l] = raw[l] / totals[l]``, each token's share of the
+    layer (summing to 1), and ``order[l]``, the positions by decreasing
+    share (ties to the lower position), which prefill compression keeps a
+    prefix of, are read-only and computed on first access. Planning reads
+    neither.
     """
 
     meta: TraceMeta
     raw: np.ndarray
-    normalized: np.ndarray
+    totals: np.ndarray
+
+    @cached_property
+    def normalized(self) -> np.ndarray:
+        normalized = self.raw / self.totals[:, None]
+        normalized.flags.writeable = False
+        return normalized
 
     @cached_property
     def order(self) -> np.ndarray:
-        order = np.argsort(-self.normalized, axis=1, kind="stable")
+        order = np.argsort(_negated_shares(self), axis=1, kind="stable")
         order.flags.writeable = False
         return order
 
@@ -79,21 +87,31 @@ def compute_importance(trace: AttentionTrace) -> ImportanceProfile:
     if np.any(totals <= 0.0):
         layer = int(np.argwhere(totals <= 0.0)[0][0])
         raise DegenerateLayerError(f"layer {layer} has all-zero importance")
-    normalized = raw / totals[:, None]
-    raw.flags.writeable = normalized.flags.writeable = False
-    return ImportanceProfile(meta=trace.meta, raw=raw, normalized=normalized)
+    raw.flags.writeable = totals.flags.writeable = False
+    return ImportanceProfile(meta=trace.meta, raw=raw, totals=totals)
+
+
+def _negated_shares(profile: ImportanceProfile) -> np.ndarray:
+    """A new writable array holding ``-profile.normalized``, bit for bit.
+
+    Division rounds the same way for either sign, so ``raw / -total`` is
+    exactly ``-(raw / total)``; the quotient is formed once, without
+    building ``normalized``.
+    """
+    return np.divide(profile.raw, -profile.totals[:, None])
 
 
 def priority_sequence(profile: ImportanceProfile) -> PrioritySequence:
     """Sort each layer's normalized importance descending and accumulate.
 
     A value sort suffices: tied shares are equal, so the running sums do
-    not depend on which tied position comes first. The shares are negated
-    into one buffer, sorted ascending and accumulated in place, then
-    negated back; negation is exact, so the result has the bits of
-    accumulating the descending sort, with no second L*N temporary.
+    not depend on which tied position comes first. The negated shares are
+    divided straight from ``raw`` into the one L*N buffer the result
+    occupies, sorted ascending and accumulated in place, then negated
+    back; negation is exact, so the result has the bits of accumulating
+    the descending sort of ``normalized``, which is never built.
     """
-    cumulative = np.negative(profile.normalized)
+    cumulative = _negated_shares(profile)
     cumulative.sort(axis=1)
     np.cumsum(cumulative, axis=1, out=cumulative)
     np.negative(cumulative, out=cumulative)

@@ -43,7 +43,7 @@ class LayerStats:
 
 # Layers whose Gini areas layer_stats computes in one pass are chosen so
 # that a pass's temporaries hold about this many values.
-_BLOCK_VALUES = 2**20
+_BLOCK_VALUES = 2**18
 
 
 def _grid(n: int) -> np.ndarray:

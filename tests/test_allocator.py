@@ -116,6 +116,15 @@ def test_budget_rejects_non_finite_or_negative_tolerance(delta_tol):
         BudgetSpec(r=0.5, delta_tol=delta_tol)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_steps", 2.5), ("max_steps", True), ("max_steps", 0),
+    ("min_tokens_per_layer", 1.5), ("min_tokens_per_layer", True), ("min_tokens_per_layer", -1),
+])
+def test_budget_counts_must_be_integers_in_range(field, value):
+    with pytest.raises(BudgetError, match=f"{field} must be a"):
+        BudgetSpec(r=0.3, **{field: value})
+
+
 class TestRatioAtThreshold:
     def test_scan_example(self, two_layer_seq):
         assert ratio_at_threshold(two_layer_seq, 0, 0.7) == 0.25
@@ -526,3 +535,20 @@ def test_planning_never_builds_the_order_permutation():
     assert all("order" not in vars(profile) for profile in profiles)
     assert profiles[0].order.shape == seqs[0].cumulative.shape
     assert "order" in vars(profiles[0])
+
+
+def test_planning_never_builds_the_normalized_shares():
+    rng = np.random.default_rng(8)
+    profiles = [random_profile(rng, layers=(3, 4), tokens=(24, 40)) for _ in range(2)]
+    seqs = [priority_sequence(profile) for profile in profiles]
+    budget = BudgetSpec(r=0.4)
+    for seq in seqs:
+        plan_online(seq, budget)
+        layer_stats(seq)
+    for method in ("per-sample-mean", "pooled-curve"):
+        estimate_offline(seqs, budget, method=method)
+    assert all("normalized" not in vars(profile) for profile in profiles)
+    for profile in profiles:
+        expected = profile.raw / profile.raw.sum(axis=1, keepdims=True)
+        assert profile.normalized.tobytes() == expected.tobytes()
+        assert "normalized" in vars(profile) and not profile.normalized.flags.writeable

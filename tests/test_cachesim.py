@@ -288,6 +288,19 @@ class TestDecodeStep:
                 state.set_layer(layer, [0], [0.1])
         assert state.live_positions(0) == list(range(12))
 
+    @pytest.mark.parametrize("protect", [1.5, True])
+    def test_protect_distance_must_be_an_integer(self, protect):
+        with pytest.raises(UsageError, match="protect_distance must be a positive count"):
+            make_state([0.5], [0], 1, 1, protect=protect)
+
+    @pytest.mark.parametrize("layer", [-1, 1])
+    @pytest.mark.parametrize("accessor", ["capacity", "live_positions", "live_kv"])
+    def test_layer_accessors_reject_layers_outside_the_cache(self, accessor, layer):
+        state = make_state([0.5, 0.2], [0, 1], 2, 2, keys=np.ones((1, 2, 3)))
+        with pytest.raises(UsageError, match=rf"layer {layer} outside \[0, 1\)"):
+            getattr(state, accessor)(layer)
+        assert [len(entries) for entries in state.layer_caches] == [2]
+
     def test_feature_merge_exact_tie_goes_to_lower_position(self):
         # Positions 0 and 5 hold bit-identical keys, so their cosine scores
         # against the evictee must tie exactly and the lower position wins.

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from kvbudget import (
     DegenerateLayerError,
     TraceMeta,
     compute_importance,
+    layer_stats,
     priority_sequence,
 )
 
@@ -172,12 +175,31 @@ class TestSharedReadOnlyArrays:
             arrays(np.float64, shape, elements=st.sampled_from([0.0, 0.0, 0.0, 0.5, 3.0])),
             arrays(np.float64, shape, elements=st.integers(0, 2).map(float)),
             arrays(np.float64, shape, elements=st.floats(0.0, 1e6)),
+            arrays(np.float64, shape, elements=st.floats(0.0, 1e-300)),
         ))
     )
     def test_cumulative_bytes_match_the_descending_sort_formula(self, raw):
-        # Zero-heavy and tie-heavy rows: the in-place negated sort and
-        # accumulation must give the bytes of summing the descending sort.
+        # Zero-heavy, tie-heavy and subnormal rows: dividing raw by the
+        # negated totals, sorting and accumulating in place must give the
+        # bytes of summing the descending sort of the normalized shares.
         raw[:, 0] += 1.0
         profile = compute_importance(shortcut_trace(raw))
         expected = np.cumsum(np.sort(profile.normalized, axis=1)[:, ::-1], axis=1)
         assert priority_sequence(profile).cumulative.tobytes() == expected.tobytes()
+
+
+def test_planning_pass_holds_one_layer_by_position_buffer():
+    # The cumulative matrix is the only L*N array the pass allocates; the
+    # shares are never materialized and layer_stats works in blocks of
+    # about 2**18 values, far below this 16 MB trace.
+    L, N = 64, 32768
+    raw = np.random.default_rng(3).gamma(0.5, size=(L, N))
+    trace = AttentionTrace(meta=TraceMeta(layers=L, heads=1, seq_len=N), importance=raw)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        layer_stats(priority_sequence(compute_importance(trace)))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * L * N * 8

@@ -122,7 +122,7 @@ def tie_and_zero_heavy_importance():
 
 class TestBlockStats:
     @settings(max_examples=60, deadline=None)
-    @given(raw=tie_and_zero_heavy_importance(), block=st.sampled_from([1, 7, 64, 2**20]))
+    @given(raw=tie_and_zero_heavy_importance(), block=st.sampled_from([1, 7, 64, 2**18, 2**20]))
     def test_matches_per_layer_curves_and_ginis(self, raw, block):
         seq = seq_from_importance(raw)
         with pytest.MonkeyPatch.context() as patch:
@@ -150,7 +150,7 @@ class TestBlockStats:
         assert not single.x.flags.writeable
 
     @pytest.mark.parametrize("fault", ["dip", "decreasing", "end"])
-    @pytest.mark.parametrize("block", [1, 8, 2**20])
+    @pytest.mark.parametrize("block", [1, 8, 2**18, 2**20])
     def test_first_bad_layer_raises_the_constructor_message(self, fault, block, monkeypatch):
         monkeypatch.setattr(lorenz, "_BLOCK_VALUES", block)
         good = seq_from_importance(np.arange(1.0, 25.0).reshape(6, 4))
