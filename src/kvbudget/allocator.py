@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BudgetError, MismatchError, ParseError, UsageError
 from .importance import PrioritySequence
-from .trace import TraceMeta, _is_int
+from .trace import TraceMeta, _check_layer, _is_int, _read_json_object
 
 POLICIES = ("prefixkv", "uniform", "pyramid", "local")
 OFFLINE_METHODS = ("per-sample-mean", "pooled-curve")
@@ -104,8 +104,7 @@ def ratio_at_threshold(seq: PrioritySequence, layer: int, p: float) -> float:
     p = 0 maps to the empty prefix (ratio 0); if rounding noise leaves
     every cumulative value below p, the full prefix is returned.
     """
-    if not 0 <= layer < seq.meta.layers:
-        raise IndexError(f"layer {layer} out of range [0, {seq.meta.layers})")
+    _check_layer(layer, seq.meta.layers)
     if not 0.0 <= p <= 1.0:
         raise UsageError(f"threshold must be in [0, 1], got {p}")
     return float(_ratios_at(seq.cumulative[layer : layer + 1], p)[0])
@@ -296,8 +295,10 @@ def plan_online(seq: PrioritySequence, budget: BudgetSpec) -> PrefixConfiguratio
 def _resample_cumulative(cumulative: np.ndarray, n_star: int) -> np.ndarray:
     """Evaluate an (L, N) cumulative step function on the (j+1)/n_star grid."""
     tokens = (np.arange(1, n_star + 1) * cumulative.shape[1]) // n_star
-    # Column 0 of the padded matrix is the empty prefix.
-    return np.pad(cumulative, ((0, 0), (1, 0)))[:, tokens]
+    # A grid point before the first token reads the empty prefix, 0.
+    resampled = cumulative[:, np.maximum(tokens - 1, 0)]
+    resampled[:, tokens == 0] = 0.0
+    return resampled
 
 
 def estimate_offline(
@@ -370,7 +371,7 @@ def baseline_config(
             position = np.arange(L) / (L - 1)
             raw = budget.r + amplitude * (1.0 - 2.0 * position)
     elif kind == "local":
-        if sink_count is None or sink_count < 0:
+        if not _is_int(sink_count) or sink_count < 0:
             raise UsageError("local policy requires a nonnegative sink_count")
         raw = np.full(L, budget.r)
     else:
@@ -478,10 +479,4 @@ def save_config(config: PrefixConfiguration, path: str | Path) -> None:
 
 
 def load_config(path: str | Path) -> PrefixConfiguration:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("configuration document must be a JSON object")
-    return config_from_dict(doc)
+    return config_from_dict(_read_json_object(path, "configuration document"))

@@ -32,7 +32,7 @@ from .allocator import BudgetSpec, PrefixConfiguration, baseline_config
 from .errors import MismatchError, UsageError, ValidationError
 from .importance import ImportanceProfile, compute_importance
 from .toymodel import ToyModel, decode
-from .trace import ROW_SUM_TOL, AttentionTrace, _check_finite, _is_int
+from .trace import ROW_SUM_TOL, AttentionTrace, TraceMeta, _check_finite, _check_layer, _is_int
 
 MERGE_POLICIES = ("none", "position", "feature")
 
@@ -117,6 +117,8 @@ class CacheState:
             raise UsageError(f"protect_distance must be a positive count, got {protect_distance!r}")
         if merge_policy not in MERGE_POLICIES:
             raise UsageError(f"unknown merge policy {merge_policy!r}")
+        if profile is not None:
+            _check_covers(config, profile.meta, "importance profile")
         self.config = config
         self.report_profile = profile
         self.protect_distance = int(protect_distance)
@@ -168,7 +170,7 @@ class CacheState:
         ``importance`` seeds their accumulators; ``keys``/``values``, when
         given, have shape (H, len(positions), d).
         """
-        self._check_layer(layer)
+        _check_layer(layer, self.layers)
         positions = np.asarray(positions, dtype=np.int64)
         importance = np.asarray(importance, dtype=float)
         if positions.ndim != 1 or (positions[1:] <= positions[:-1]).any():
@@ -193,26 +195,22 @@ class CacheState:
         self._kv[layer] = None if keys is None else _padded(np.stack((keys, values)), 2, n)
         self._merged[layer] = {}
 
-    def _check_layer(self, layer: int) -> None:
-        if not 0 <= layer < self.layers:
-            raise UsageError(f"layer {layer} outside [0, {self.layers})")
-
     def _capacities(self) -> list[int]:
         floor = self.config.budget.min_tokens_per_layer
         return [max(floor, int(ratio * self.current_len)) for ratio in self.config.ratios.tolist()]
 
     def capacity(self, layer: int) -> int:
         """Current token allowance of a layer, re-derived from current_len."""
-        self._check_layer(layer)
+        _check_layer(layer, self.layers)
         return self._capacities()[layer]
 
     def live_positions(self, layer: int) -> list[int]:
-        self._check_layer(layer)
+        _check_layer(layer, self.layers)
         return self._pos[layer, :self._n[layer]].tolist()
 
     def live_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (H, n, d) views of a layer's live key and value vectors."""
-        self._check_layer(layer)
+        _check_layer(layer, self.layers)
         if self._kv[layer] is None:
             raise MismatchError("cache entries carry no key/value vectors")
         live = self._kv[layer][:, :, :self._n[layer]]
@@ -425,12 +423,7 @@ def prefill_compress(
     else computed here.
     """
     N = trace.meta.seq_len
-    if config.seq_len != N:
-        raise MismatchError(f"configuration covers {config.seq_len} positions, trace has {N}")
-    if config.layers != trace.meta.layers:
-        raise MismatchError(
-            f"configuration covers {config.layers} layers, trace has {trace.meta.layers}"
-        )
+    _check_covers(config, trace.meta, "trace")
     if np.any(config.token_counts > N):
         raise MismatchError("token_counts exceed the trace length")
     if merge_policy == "feature" and trace.keys is None:
@@ -531,14 +524,24 @@ def retained_info(state: CacheState, profile: ImportanceProfile) -> np.ndarray:
     """Per-layer share of profile importance still live in the cache.
 
     Positions beyond the profile (tokens decoded after prefill) carry no
-    share; merged-away positions do not count.
+    share; merged-away positions do not count. The profile must cover the
+    configuration's layers and positions.
     """
+    _check_covers(state.config, profile.meta, "importance profile")
     counts = (state._pos < profile.meta.seq_len).sum(axis=1)
     out = np.zeros(state.layers)
     for l, count in enumerate(counts.tolist()):
         if count:
             out[l] = float(profile.normalized[l][state._pos[l, :count]].sum())
     return out
+
+
+def _check_covers(config: PrefixConfiguration, meta: TraceMeta, what: str) -> None:
+    """Refuse a trace or profile of another layer count or length than the configuration."""
+    covers = (meta.layers, meta.seq_len)
+    if covers != (config.layers, config.seq_len):
+        raise MismatchError(f"{what} covers (layers, positions) {covers}, "
+                            f"the configuration {(config.layers, config.seq_len)}")
 
 
 def _head_mean(block: np.ndarray, heads_contiguous: bool) -> np.ndarray:
@@ -594,7 +597,7 @@ def replay_steps(trace: AttentionTrace, state: CacheState, steps: int) -> None:
     and renormalized, standing in for attention a model would have
     computed over the compressed cache.
     """
-    if steps < 0:
+    if not _is_int(steps) or steps < 0:
         raise UsageError(f"steps must be nonnegative, got {steps}")
     if trace.meta.layers != state.layers:
         raise MismatchError(

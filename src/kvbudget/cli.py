@@ -50,7 +50,8 @@ from .errors import BudgetError, KVBudgetError, ParseError, UsageError, Validati
 from .importance import compute_importance, priority_sequence
 from .lorenz import layer_stats
 from .toymodel import ToyModel, decode, forward_trace
-from .trace import AttentionTrace, _check_size, load_trace, save_trace, synth_trace, trace_prefix
+from .trace import (AttentionTrace, _check_layer, _check_size, _read_json_object, load_trace,
+                    save_trace, synth_trace, trace_prefix)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -296,8 +297,7 @@ def run_analyze(args: argparse.Namespace) -> list[str]:
     seq = priority_sequence(compute_importance(trace))
     stats = layer_stats(seq)
     if args.layer is not None:
-        if not 0 <= args.layer < trace.meta.layers:
-            raise ValidationError(f"layer {args.layer} out of range")
+        _check_layer(args.layer, trace.meta.layers)
         stats = [stats[args.layer]]
     # Curve lines are made one layer's block at a time, while the file is written.
     curves = ("".join(f"{s.layer},{x!r},{y!r}\n"
@@ -320,7 +320,9 @@ def run_plan(args: argparse.Namespace) -> list[str]:
     traces = [load_trace(p) for p in args.traces]
     if args.prefill is not None:
         traces = [trace_prefix(t, args.prefill) for t in traces]
-    if args.offline and args.policy == "prefixkv":
+    if args.offline and args.policy != "prefixkv":
+        raise UsageError(f"--offline estimates prefixkv configurations, not {args.policy}")
+    if args.offline:
         seqs = [priority_sequence(compute_importance(t)) for t in traces]
         config = estimate_offline(seqs, budget, method=args.method)
     elif len(traces) != 1:
@@ -355,8 +357,6 @@ def run_simulate(args: argparse.Namespace) -> list[str]:
         raise UsageError("pass exactly one of --trace or --toy-seed")
     if args.disturb and args.toy_seed is None:
         raise UsageError("--disturb requires the toy-model input")
-    if args.disturb and args.steps < 1:
-        raise UsageError("--disturb needs at least one decode step")
     if args.config is None and args.budget is None:
         raise UsageError("pass --config or --budget")
     _check_run_flags(args)
@@ -452,11 +452,9 @@ def run_compare(args: argparse.Namespace) -> list[str]:
 
 def run_replay(args: argparse.Namespace) -> list[str]:
     try:
-        manifest = json.loads(Path(args.manifest).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        manifest = _read_json_object(args.manifest, "manifest")
+    except OSError as exc:
         raise ParseError(f"cannot read manifest {args.manifest}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ParseError("manifest must be a JSON object")
     params = manifest.get("params")
     if not isinstance(params, dict):
         raise ParseError("manifest field 'params' must be an object")

@@ -13,6 +13,11 @@ class UsageError(KVBudgetError, ValueError):
     """An argument value is refused (a bad size, count or policy name)."""
 
 
+class LayerIndexError(UsageError, IndexError):
+    """A layer index is not an integer in ``[0, L)``; an ``IndexError`` too,
+    as indexing past the end of a sequence would raise."""
+
+
 class ParseError(KVBudgetError):
     """A document (trace, configuration, manifest) is malformed."""
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .importance import PrioritySequence
+from .trace import _check_layer
 
 _FINAL_TOL = 1e-9
 
@@ -65,8 +66,7 @@ def lorenz_curve(seq: PrioritySequence, layer: int) -> LorenzCurve:
 
     ``y`` is a read-only view of the sequence's cumulative row.
     """
-    if not 0 <= layer < seq.meta.layers:
-        raise IndexError(f"layer {layer} out of range [0, {seq.meta.layers})")
+    _check_layer(layer, seq.meta.layers)
     return LorenzCurve(x=_grid(seq.meta.seq_len), y=_row(seq.cumulative, layer))
 
 

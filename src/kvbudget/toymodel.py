@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import MismatchError, UsageError
-from .trace import AttentionTrace, TraceMeta, _check_size
+from .trace import AttentionTrace, TraceMeta, _check_size, _is_int
 
 if TYPE_CHECKING:
     from .cachesim import CacheState
@@ -40,11 +40,11 @@ class ToyModel:
     def __init__(self, layers: int = 8, heads: int = 4, dim: int = 64,
                  vocab: int = 256, seed: int = 0):
         for name, size in (("layers", layers), ("heads", heads), ("dim", dim), ("vocab", vocab)):
-            if size < 1:
+            if not _is_int(size) or size < 1:
                 raise UsageError(f"{name} must be at least 1, got {size}")
         if dim % heads != 0:
             raise UsageError(f"dim {dim} must be divisible by heads {heads}")
-        if seed < 0:
+        if not _is_int(seed) or seed < 0:
             raise UsageError(f"seed must be nonnegative, got {seed}")
         _check_size("toy embedding", (vocab, dim))
         _check_size("toy layer weights", (layers, dim, dim))
@@ -156,7 +156,7 @@ def decode(
     an array of shape (steps, layers, dim) with each step's post-attention
     features at every layer.
     """
-    if steps < 1:
+    if not _is_int(steps) or steps < 1:
         raise UsageError("decode needs at least one step")
     if trace.features is None:
         raise MismatchError("decode continues from a forward trace with features")

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParseError, TraceTooLargeError, UsageError, ValidationError
+from .errors import LayerIndexError, ParseError, TraceTooLargeError, UsageError, ValidationError
 
 # Row sums of serialized attention must match 1 within this tolerance.
 ROW_SUM_TOL = 1e-6
@@ -191,6 +191,28 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_layer(layer, layers: int) -> None:
+    """Refuse anything but an integer layer index in ``[0, layers)``."""
+    if not (_is_int(layer) and 0 <= layer < layers):
+        raise LayerIndexError(f"layer {layer!r} outside [0, {layers})")
+
+
+def _read_json_object(path: str | Path, what: str) -> dict:
+    """Read, decode and parse a JSON file that must hold one object.
+
+    Undecodable bytes and invalid (or too deeply nested) JSON are a
+    ParseError, as is any other top-level value; ``what`` names the
+    document in that message. An unreadable file raises its OSError.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    return doc
+
+
 def _check_size(name: str, shape: tuple[int, ...]) -> None:
     count = math.prod(int(d) for d in shape)
     if count > MAX_TRACE_ELEMENTS:
@@ -214,7 +236,7 @@ def trace_prefix(trace: AttentionTrace, n: int) -> AttentionTrace:
     that share memory with ``trace``; nothing is copied.
     """
     N = trace.meta.seq_len
-    if not 1 <= n <= N:
+    if not (_is_int(n) and 1 <= n <= N):
         raise ValidationError(f"prefix length {n} outside [1, {N}]")
     if n == N:
         return trace
@@ -251,7 +273,7 @@ def synth_trace(
         raise UsageError(f"concentration must have length {layers}, got shape {conc.shape}")
     if not np.all((conc > 0) & (conc < np.inf)):
         raise UsageError("concentration values must be positive and finite")
-    if seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise UsageError(f"seed must be nonnegative, got {seed}")
 
     meta = TraceMeta(layers=int(layers), heads=int(heads), seq_len=int(seq_len), label=label, seed=int(seed))
@@ -260,10 +282,12 @@ def synth_trace(
     rng = np.random.default_rng(seed)
     lower = np.tri(N, N, k=0, dtype=bool)
 
-    attention = np.zeros((L, H, N, N))
-    for l in range(L):
-        gammas = rng.standard_gamma(conc[l], size=(H, N, N))
-        gammas = np.where(lower, gammas, 0.0)
+    # Each layer's draws go straight into the trace and are masked and
+    # normalized in place, so no layer-sized temporary is made.
+    attention = np.empty((L, H, N, N))
+    for l, gammas in enumerate(attention):
+        rng.standard_gamma(conc[l], out=gammas)
+        gammas *= lower
         sums = gammas.sum(axis=-1, keepdims=True)
         # Guard against total underflow of a row at extreme concentrations.
         dead = sums[..., 0] == 0.0
@@ -271,7 +295,7 @@ def synth_trace(
             for h, m in np.argwhere(dead):
                 gammas[h, m, m] = 1.0
             sums = gammas.sum(axis=-1, keepdims=True)
-        attention[l] = gammas / sums
+        gammas /= sums
 
     keys = values = None
     if with_kv:
@@ -308,22 +332,6 @@ def _array_field(doc: dict, field: str, required: bool = False) -> np.ndarray | 
 
 def _is_npz(path: Path) -> bool:
     return path.suffix == ".npz"
-
-
-def _read_json(path: Path) -> dict:
-    size = path.stat().st_size
-    if size > MAX_JSON_BYTES:
-        raise TraceTooLargeError(
-            f"JSON trace {path} has {size} bytes, above the limit of {MAX_JSON_BYTES}; "
-            "store large traces as .npz"
-        )
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("trace document must be a JSON object")
-    return doc
 
 
 _NPY_HEADER_READERS = {
@@ -365,7 +373,7 @@ def _read_npz(path: Path) -> dict:
         raise ParseError("member 'meta' must be a JSON string")
     try:
         doc = {"meta": json.loads(str(meta))}
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in member 'meta' of {path}: {exc}") from exc
     for name, array in arrays.items():
         if array.dtype.kind not in "biuf":
@@ -421,7 +429,15 @@ def _from_doc(doc: dict) -> AttentionTrace:
 def load_trace(path: str | Path) -> AttentionTrace:
     """Load and validate a trace (full or shortcut form; ``.npz`` by suffix, else JSON)."""
     path = Path(path)
-    return _from_doc(_read_npz(path) if _is_npz(path) else _read_json(path))
+    if _is_npz(path):
+        return _from_doc(_read_npz(path))
+    size = path.stat().st_size
+    if size > MAX_JSON_BYTES:
+        raise TraceTooLargeError(
+            f"JSON trace {path} has {size} bytes, above the limit of {MAX_JSON_BYTES}; "
+            "store large traces as .npz"
+        )
+    return _from_doc(_read_json_object(path, "trace document"))
 
 
 def save_trace(trace: AttentionTrace, path: str | Path) -> None:

@@ -24,6 +24,7 @@ from kvbudget import (
     save_config,
     synth_trace,
     TraceMeta,
+    UsageError,
     layer_stats,
 )
 
@@ -149,6 +150,12 @@ class TestRatioAtThreshold:
     def test_layer_out_of_range(self, two_layer_seq):
         with pytest.raises(IndexError):
             ratio_at_threshold(two_layer_seq, 2, 0.5)
+
+    @pytest.mark.parametrize("layer", [True, 1.0, -1, 2])
+    def test_layer_must_be_an_integer_index(self, two_layer_seq, layer):
+        # True used to read layer 1, and -1 or 2 raised a bare IndexError.
+        with pytest.raises(UsageError, match=rf"layer {layer!r} outside \[0, 2\)"):
+            ratio_at_threshold(two_layer_seq, layer, 0.5)
 
 
 class TestBinarySearch:
@@ -466,6 +473,14 @@ class TestBaselines:
         assert config.policy == "local"
         assert config.sink_count == 2
         assert config.ratios.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("sink", [True, 2.0])
+    def test_local_sink_count_must_be_an_integer(self, sink):
+        # True used to be written to the configuration as `true`, which
+        # load_config then refused.
+        meta = TraceMeta(layers=2, heads=1, seq_len=10)
+        with pytest.raises(UsageError, match="nonnegative sink_count"):
+            baseline_config("local", BudgetSpec(r=0.5), meta, sink_count=sink)
 
     def test_invalid_kind(self):
         meta = TraceMeta(layers=2, heads=1, seq_len=10)

@@ -301,6 +301,19 @@ class TestDecodeStep:
             getattr(state, accessor)(layer)
         assert [len(entries) for entries in state.layer_caches] == [2]
 
+    def test_layer_entry_points_take_only_integer_indices(self):
+        # True used to pass as layer 1, and 1.0 to reach numpy's indexing.
+        state = full_cache_state(synth_trace(2, 1, 8, [1.0, 1.0], seed=0, with_kv=True))
+        calls = [state.capacity, state.live_positions, state.live_kv,
+                 lambda layer: state.set_layer(layer, [0], [0.1])]
+        for call in calls:
+            for layer in (True, 1.0, -1, 2):
+                message = rf"layer {layer!r} outside \[0, 2\)"
+                with pytest.raises(UsageError, match=message) as caught:
+                    call(layer)
+                assert isinstance(caught.value, IndexError)
+        assert [state.live_positions(l) for l in range(2)] == [list(range(8))] * 2
+
     def test_feature_merge_exact_tie_goes_to_lower_position(self):
         # Positions 0 and 5 hold bit-identical keys, so their cosine scores
         # against the evictee must tie exactly and the lower position wins.
@@ -405,6 +418,20 @@ class TestRetainedInfo:
         assert retained_info(state, state.report_profile)[0] == pytest.approx(0.7)
 
 
+    @pytest.mark.parametrize("layers, n", [(2, 30), (4, 30), (3, 20)])
+    def test_profile_of_another_shape_is_a_mismatch(self, layers, n):
+        # A 2-layer profile used to raise a bare IndexError; a 4-layer one,
+        # or 20 positions against 30, silently gave three numbers.
+        trace = synth_trace(3, 1, 30, [0.5, 1.0, 2.0], seed=3)
+        state = full_cache_state(trace)
+        other = compute_importance(synth_trace(layers, 1, n, [1.0] * layers, seed=4))
+        message = rf"importance profile covers \(layers, positions\) \({layers}, {n}\)"
+        with pytest.raises(MismatchError, match=message):
+            retained_info(state, other)
+        with pytest.raises(MismatchError, match=message):
+            CacheState(state.config, other)
+
+
 def test_per_layer_dominance_after_prefill():
     # Right after prefill, prefixkv's retained share in any layer trails
     # uniform's by at most that layer's largest single-token share.
@@ -496,6 +523,17 @@ class TestReplay:
             priority_sequence(compute_importance(trace_prefix(trace, 40))), BudgetSpec(r=0.5)))
         with pytest.raises(UsageError, match="steps must be nonnegative, got -1"):
             replay_steps(trace, state, -1)
+        assert state.current_len == 40 and not state.step_log
+
+    @pytest.mark.parametrize("steps", [1.0, True])
+    def test_steps_must_be_an_integer(self, steps):
+        # 1.0 used to fail inside range() with a TypeError, and True replayed a step.
+        trace = self._trace(seed=1, n=48)
+        prefix = trace_prefix(trace, 40)
+        state = prefill_compress(prefix, plan_online(
+            priority_sequence(compute_importance(prefix)), BudgetSpec(r=0.5)))
+        with pytest.raises(UsageError, match=f"steps must be nonnegative, got {steps}"):
+            replay_steps(trace, state, steps)
         assert state.current_len == 40 and not state.step_log
 
     @pytest.mark.parametrize("layers", [2, 4])

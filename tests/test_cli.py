@@ -508,6 +508,49 @@ def test_unreadable_or_unwritable_paths_exit_2(tmp_path, capsys, input_trace, ar
     assert not list(tmp_path.iterdir())
 
 
+@pytest.fixture(scope="module")
+def undecodable(tmp_path_factory):
+    """A JSON object in Latin-1 bytes, which are not UTF-8."""
+    path = tmp_path_factory.mktemp("input") / "latin.json"
+    path.write_bytes('{"meta": {"label": "café"}}'.encode("latin-1"))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "BAD"],
+    ["plan", "--budget", "0.5", "BAD"],
+    ["simulate", "--trace", "TRACE", "--config", "BAD", "--steps", "2"],
+    ["replay", "BAD"],
+], ids=["analyze-trace", "plan-trace", "simulate-config", "replay-manifest"])
+def test_undecodable_input_files_are_parse_errors(tmp_path, capsys, input_trace, undecodable,
+                                                  argv):
+    # Each used to end in a UnicodeDecodeError traceback and exit 1.
+    argv = [{"TRACE": input_trace, "BAD": undecodable}.get(arg, arg) for arg in argv]
+    assert run(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid JSON in {undecodable}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("layer", ["2", "-1"])
+def test_analyze_layer_outside_the_trace_is_usage_error(tmp_path, capsys, input_trace, layer):
+    # Used to be a validation error (exit 2).
+    assert run(["analyze", input_trace, "--layer", layer], tmp_path) == 1
+    assert capsys.readouterr().err == f"usage error: layer {layer} outside [0, 2)\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("policy", ["uniform", "pyramid", "local"])
+def test_offline_plan_refuses_baseline_policies(tmp_path, capsys, input_trace, policy):
+    # Used to exit 0 with the baseline configuration, ignoring --offline.
+    assert run(["plan", "--budget", "0.3", "--policy", policy, "--offline", input_trace],
+               tmp_path) == 1
+    message = f"usage error: --offline estimates prefixkv configurations, not {policy}\n"
+    assert capsys.readouterr().err == message
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, code", [
     (["plan", "--budget", "0.5", "--delta-tol", "nan", "TRACE"], 3),
     (["plan", "--budget", "0.5", "--delta-tol", "inf", "--policy", "uniform", "TRACE"], 3),

@@ -2,7 +2,8 @@
 
 Arguments are drawn from the parser's own subcommands and flags, with
 random values, over good and corrupted trace, configuration and
-manifest files: truncations, type swaps, NaN and negative sizes.
+manifest files: truncations, type swaps, NaN, negative sizes and bytes
+that are not UTF-8.
 Whatever the draw, a command ends with a documented exit code, prints
 no traceback, and leaves no output behind when it fails.
 """
@@ -187,6 +188,10 @@ def inputs(tmp_path_factory):
     for path in [*root.glob("*.json"), *root.glob("*.npz")]:
         data = path.read_bytes()
         (root / f"truncated-{path.name}").write_bytes(data[:len(data) // 2])
+    # Good files of each kind with an extra field in Latin-1, not UTF-8.
+    for name in ("good.json", "config.json", "plan.manifest.json"):
+        text = '{"note": "café", ' + (root / name).read_text()[1:]
+        (root / f"latin1-{name}").write_bytes(text.encode("latin-1"))
     return Inputs(root)
 
 

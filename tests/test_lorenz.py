@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kvbudget import LorenzCurve, PrioritySequence, gini, layer_stats, lorenz, lorenz_curve
+from kvbudget import (LorenzCurve, PrioritySequence, UsageError, gini, layer_stats, lorenz,
+                      lorenz_curve)
 
 from conftest import seq_from_importance
 
@@ -39,6 +40,13 @@ class TestCurve:
         seq = seq_from_importance([[1.0, 1.0]])
         with pytest.raises(IndexError):
             lorenz_curve(seq, 1)
+
+    @pytest.mark.parametrize("layer", [True, 1.0, -1, 2])
+    def test_layer_must_be_an_integer_index(self, layer):
+        # True used to give layer 1's curve, and -1 or 2 a bare IndexError.
+        seq = seq_from_importance([[1.0, 1.0], [3.0, 1.0]])
+        with pytest.raises(UsageError, match=rf"layer {layer!r} outside \[0, 2\)"):
+            lorenz_curve(seq, layer)
 
     def test_constructor_rejects_sub_diagonal(self):
         with pytest.raises(ValueError, match="equality line"):

@@ -66,6 +66,18 @@ class TestForwardTrace:
         with pytest.raises(UsageError, match=f"{size} must be at least 1"):
             ToyModel(**{size: 0})
 
+    @pytest.mark.parametrize("size", ["layers", "heads", "dim", "vocab"])
+    @pytest.mark.parametrize("value", [2.0, True])
+    def test_non_integer_size_is_usage_error(self, size, value):
+        # Floats used to fail inside numpy with a TypeError, and True to build a size-1 model.
+        with pytest.raises(UsageError, match=f"{size} must be at least 1, got {value}"):
+            ToyModel(**{"layers": 2, "heads": 1, "dim": 4, "vocab": 8, size: value})
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_non_integer_seed_is_usage_error(self, seed):
+        with pytest.raises(UsageError, match=f"seed must be nonnegative, got {seed}"):
+            ToyModel(seed=seed)
+
     def test_layers_span_dispersed_to_concentrated(self):
         model = ToyModel(seed=3)
         trace = forward_trace(model, prompt_for(model, 64))
@@ -148,6 +160,15 @@ class TestDecode:
         trace = forward_trace(model, prompt_for(model))
         with pytest.raises(ValueError, match="at least one"):
             decode(model, trace, 0, full_cache_state(trace))
+
+    @pytest.mark.parametrize("steps", [2.0, True])
+    def test_steps_must_be_an_integer(self, model, steps):
+        # 2.0 used to reach numpy's zeros() as a TypeError, and True decoded one step.
+        trace = forward_trace(model, prompt_for(model, 20))
+        state = full_cache_state(trace)
+        with pytest.raises(UsageError, match="decode needs at least one step"):
+            decode(model, trace, steps, state)
+        assert state.current_len == 20 and not state.step_log
 
     @pytest.mark.parametrize("bad", [-1, 128])
     def test_forced_tokens_outside_the_vocabulary_rejected(self, model, bad):

@@ -90,6 +90,22 @@ class TestLoad:
         with pytest.raises(ParseError, match="invalid JSON"):
             load_trace(path)
 
+    @pytest.mark.parametrize("data", [b'{"meta": "caf\xe9"}', b"\xff\xfe{}"],
+                             ids=["latin-1", "utf-16-bom"])
+    def test_undecodable_bytes(self, tmp_path, data):
+        # Used to escape as a UnicodeDecodeError.
+        path = tmp_path / "latin.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="invalid JSON in .*'utf-8' codec can't decode"):
+            load_trace(path)
+
+    def test_nesting_too_deep_to_parse(self, tmp_path):
+        # Used to escape as a RecursionError.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ParseError, match="invalid JSON in .*recursion"):
+            load_trace(path)
+
     def test_shortcut_form(self, tmp_path):
         doc = {"meta": {"layers": 1, "heads": 1, "seq_len": 3}, "importance": [[3.0, 2.0, 1.0]]}
         trace = load_trace(write_doc(tmp_path, doc))
@@ -194,6 +210,13 @@ class TestSynth:
         with pytest.raises(UsageError, match="positive and finite"):
             synth_trace(2, 1, 8, [0.5, bad], seed=0)
 
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_rejects_non_integer_seed(self, seed):
+        # 1.5 used to fail in numpy's SeedSequence with a TypeError, and
+        # True to be recorded as seed 1.
+        with pytest.raises(UsageError, match=f"seed must be nonnegative, got {seed}"):
+            synth_trace(2, 1, 8, [0.5, 1.0], seed=seed)
+
     def test_rows_that_underflow_attend_to_themselves(self):
         # At this concentration every gamma draw underflows to 0, so each
         # row would sum to 0; the guard puts its whole mass on the diagonal.
@@ -253,6 +276,13 @@ class TestPrefix:
             trace_prefix(trace, 0)
         with pytest.raises(ValidationError):
             trace_prefix(trace, 6)
+
+    @pytest.mark.parametrize("n", [True, 2.0])
+    def test_length_must_be_an_integer(self, n):
+        # True used to give the 1-token prefix, and 2.0 a TypeError from slicing.
+        trace = synth_trace(1, 1, 5, [1.0], seed=0)
+        with pytest.raises(ValidationError, match=f"prefix length {n} outside"):
+            trace_prefix(trace, n)
 
 
 def test_validate_checks_kv_consistency():
