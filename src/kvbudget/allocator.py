@@ -4,9 +4,12 @@ Given per-layer cumulative priority sequences and a compression ratio
 budget r, the allocator searches for an information retention threshold
 p such that retaining, in each layer, the smallest priority prefix whose
 cumulative priority reaches p consumes exactly r of the total cache.
-The search result is then scaled and rounded to integer token counts
-that meet the budget exactly. Uniform, pyramid-ramp and positional
-("local") baseline policies share the same realization path.
+The plan itself is the exact global prefix: the ``round(r * L * N)``
+cheapest tokens in one order over every layer, so it never depends on
+where the search stopped, and more budget never shrinks a layer.
+Uniform, pyramid-ramp and positional ("local") baseline policies, and
+the per-sample-mean offline estimate, round real-valued per-layer
+ratios onto the same exact budget instead.
 
 Everything here is pure and deterministic; offline estimation reduces
 over samples in fixed index order so results are reproducible.
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -29,18 +32,16 @@ from .trace import TraceMeta, _check_layer, _is_int, _read_json_object
 POLICIES = ("prefixkv", "uniform", "pyramid", "local")
 OFFLINE_METHODS = ("per-sample-mean", "pooled-curve")
 
-# Relative slack under which the ratio sum counts as already on budget
-# and rescaling is skipped.
-_EXACT_REL = 1e-12
-
 
 @dataclass(frozen=True)
 class BudgetSpec:
     """Compression budget and search termination knobs.
 
     ``delta_tol`` bounds the acceptable budget difference in summed-ratio
-    units; ``min_tokens_per_layer`` floors every layer's cache so no
-    layer ends up empty at decode time (set 0 to disable).
+    units and ``max_steps`` the evaluations; both end the threshold search
+    and shape its recorded outcome, never a prefixkv plan's counts.
+    ``min_tokens_per_layer`` floors every layer's cache so no layer ends
+    up empty at decode time (set 0 to disable).
     """
 
     r: float
@@ -78,9 +79,12 @@ class SearchResult:
 class PrefixConfiguration:
     """Per-layer retention ratios and their integer realization.
 
-    ``token_counts`` always sum to ``round(r * L * N)`` exactly;
-    ``ratios`` are the scaled, clamped real-valued targets the counts
-    were rounded from. ``threshold`` is None for baseline policies.
+    ``token_counts`` always sum to ``round(r * L * N)`` exactly. For an
+    online or pooled-curve prefixkv plan they are the exact global prefix
+    and ``ratios`` are ``token_counts / N``; for baselines and the
+    per-sample-mean estimate ``ratios`` are the clamped real-valued
+    targets the counts were rounded from. ``threshold`` is the search
+    outcome, None for baseline policies.
     """
 
     budget: BudgetSpec
@@ -112,14 +116,19 @@ def ratio_at_threshold(seq: PrioritySequence, layer: int, p: float) -> float:
 
 def _ratios_at(cumulative: np.ndarray, p: float) -> np.ndarray:
     """Per-layer prefix ratios at threshold p for an (L, N) cumulative matrix."""
+    return _counts_at(cumulative, p) / cumulative.shape[1]
+
+
+def _counts_at(cumulative: np.ndarray, p: float) -> np.ndarray:
+    """Per-layer prefix sizes at threshold p: the tokens that cost less than p."""
     if p <= 0.0:
-        return np.zeros(len(cumulative))
-    return _prefix_ratios(_insertion_points(cumulative, [p])[:, 0], cumulative.shape[1])
+        return np.zeros(len(cumulative), dtype=np.int64)
+    return _prefix_counts(_insertion_points(cumulative, [p])[:, 0], cumulative.shape[1])
 
 
-def _prefix_ratios(idx: np.ndarray, N: int) -> np.ndarray:
-    """Ratios of the prefixes ending at each layer's left insertion point of p."""
-    return (np.minimum(idx, N - 1) + 1) / N
+def _prefix_counts(idx: np.ndarray, N: int) -> np.ndarray:
+    """Sizes of the prefixes ending at each layer's left insertion point of p."""
+    return np.minimum(idx, N - 1) + 1
 
 
 def _insertion_points(cumulative: np.ndarray, values) -> np.ndarray:
@@ -159,8 +168,9 @@ def _search(cumulative: np.ndarray, budget: BudgetSpec) -> SearchResult:
         return SearchResult(p=1.0, steps=0, delta_final=0.0, converged=True)
 
     steps = 0
-    # Best-so-far keyed by |delta|, preferring under-budget on ties so the
-    # later scale-up only ever grows prefixes.
+    # Best-so-far keyed by |delta|, preferring under-budget on ties. The
+    # realization only uses p to place its window, so the choice moves the
+    # recorded fields, never the counts.
     best_key: tuple[float, int] | None = None
     best_p = best_delta = 0.0
 
@@ -169,7 +179,7 @@ def _search(cumulative: np.ndarray, budget: BudgetSpec) -> SearchResult:
         nonlocal steps, best_key, best_p, best_delta
         steps += 1
         points = _insertion_points(cumulative, [p, np.nextafter(p, np.inf)])
-        delta = float(_prefix_ratios(points[:, 0], N).sum() - target)
+        delta = float((_prefix_counts(points[:, 0], N) / N).sum() - target)
         key = (abs(delta), 0 if delta < 0 else 1)
         if best_key is None or key < best_key:
             best_key, best_p, best_delta = key, p, delta
@@ -224,8 +234,19 @@ def _apportion(quotas: np.ndarray, total: int, lower: int, upper: int) -> np.nda
     return counts
 
 
+def _budget_tokens(budget: BudgetSpec, L: int, N: int) -> int:
+    """The ``round(r * L * N)`` tokens a plan keeps, refused below the layer floors."""
+    total = int(round(budget.r * L * N))
+    floor = budget.min_tokens_per_layer
+    if total < L * floor:
+        raise BudgetError(
+            f"budget of {total} tokens cannot cover {L} layers at {floor} token(s) minimum"
+        )
+    return total
+
+
 def _realize(
-    raw_ratios: np.ndarray,
+    quotas: np.ndarray,
     budget: BudgetSpec,
     seq_len: int,
     *,
@@ -235,40 +256,49 @@ def _realize(
     samples: int | None = None,
     sink_count: int | None = None,
 ) -> PrefixConfiguration:
-    """Scale raw ratios onto the budget and round to exact token counts."""
-    L = len(raw_ratios)
+    """Clamp per-layer ratio quotas and round them to exact token counts."""
     N = int(seq_len)
-    total = int(round(budget.r * L * N))
+    total = _budget_tokens(budget, len(quotas), N)
     floor = budget.min_tokens_per_layer
-    if total < L * floor:
-        raise BudgetError(
-            f"budget of {total} tokens cannot cover {L} layers at {floor} token(s) minimum"
-        )
-    if total >= L * N:
-        ratios = np.ones(L)
-        counts = np.full(L, N, dtype=np.int64)
-    else:
-        target = budget.r * L
-        ratio_sum = float(raw_ratios.sum())
-        if ratio_sum <= 0.0:
-            scaled = np.full(L, budget.r)
-        elif abs(ratio_sum - target) > _EXACT_REL * max(1.0, target):
-            scaled = raw_ratios * (target / ratio_sum)
-        else:
-            scaled = raw_ratios
-        ratios = np.clip(scaled, floor / N, 1.0)
-        counts = _apportion(ratios * N, total, floor, N)
+    ratios = np.clip(quotas, floor / N, 1.0)
     return PrefixConfiguration(
         budget=budget,
         seq_len=N,
         ratios=ratios,
-        token_counts=counts,
+        token_counts=_apportion(ratios * N, total, floor, N),
         policy=policy,
         source=source,
         threshold=threshold,
         samples=samples,
         sink_count=sink_count,
     )
+
+
+def _global_prefix(cumulative: np.ndarray, p: float, total: int, floor: int) -> np.ndarray:
+    """Per-layer counts of the ``total`` cheapest tokens in one global order.
+
+    Token k of a layer costs the cumulative priority of the tokens before
+    it (the first costs 0), the first ``floor`` tokens are free, and ties
+    go to the lower layer, then the earlier token. The tokens that cost
+    less than p lead that order, so every layer's count lies within
+    |need| = |total - sum of the counts at p| of its count at p: only that
+    window of prices is ranked, and p never changes the result.
+    """
+    L, N = cumulative.shape
+    at_p = np.maximum(_counts_at(cumulative, p), floor)
+    need = total - int(at_p.sum())
+    # Each layer keeps its first ``kept`` tokens whatever the window holds;
+    # k is the zero-based index of each window token, priced inf past the end.
+    kept = np.maximum(at_p + min(need, 0), floor)
+    k = kept[:, None] + np.arange(min(abs(need), N))
+    prices = np.where(k > 0, cumulative[np.arange(L)[:, None], np.clip(k - 1, 0, N - 1)], 0.0)
+    prices[k >= N] = np.inf
+    extra = total - int(kept.sum())
+    if extra == 0:
+        return kept
+    last = np.partition(prices, extra - 1, axis=None)[extra - 1]
+    below, ties = (prices < last).sum(axis=1), (prices == last).sum(axis=1)
+    return kept + below + np.clip(extra - below.sum() - np.cumsum(ties) + ties, 0, ties)
 
 
 def finalize_config(
@@ -280,10 +310,13 @@ def finalize_config(
 
 def _finalize(cumulative: np.ndarray, result: SearchResult, budget: BudgetSpec,
               source: str, samples: int | None) -> PrefixConfiguration:
-    """Realize the ratios an (L, N) cumulative matrix gives at the searched threshold."""
-    return _realize(
-        _ratios_at(cumulative, result.p), budget, cumulative.shape[1], policy="prefixkv",
-        source=source, threshold=result, samples=samples,
+    """The exact global prefix of an (L, N) cumulative matrix, with its search result."""
+    L, N = cumulative.shape
+    counts = _global_prefix(cumulative, result.p, _budget_tokens(budget, L, N),
+                            budget.min_tokens_per_layer)
+    return PrefixConfiguration(
+        budget=budget, seq_len=N, ratios=counts / N, token_counts=counts,
+        policy="prefixkv", source=source, threshold=result, samples=samples,
     )
 
 
@@ -311,8 +344,8 @@ def estimate_offline(
     ``per-sample-mean`` (default) searches each sample independently and
     averages the resulting per-layer ratios before re-realizing them on
     the exact budget. ``pooled-curve`` averages the cumulative priority
-    curves (step-resampled onto the largest sample's grid) and runs a
-    single search on the pooled curve.
+    curves (step-resampled onto the largest sample's grid), runs a
+    single search on the pooled curve and takes its global prefix.
     """
     if not sample_seqs:
         raise UsageError("offline estimation needs at least one sample")
@@ -383,20 +416,9 @@ def baseline_config(
 
 
 def config_to_dict(config: PrefixConfiguration) -> dict:
-    doc: dict = {
-        "budget": {
-            "r": config.budget.r,
-            "delta_tol": config.budget.delta_tol,
-            "max_steps": config.budget.max_steps,
-            "min_tokens_per_layer": config.budget.min_tokens_per_layer,
-        },
-        "seq_len": config.seq_len,
-    }
+    doc: dict = {"budget": asdict(config.budget), "seq_len": config.seq_len}
     if config.threshold is not None:
-        doc["p"] = config.threshold.p
-        doc["steps"] = config.threshold.steps
-        doc["delta_final"] = config.threshold.delta_final
-        doc["converged"] = config.threshold.converged
+        doc.update(asdict(config.threshold))
     doc["ratios"] = [float(v) for v in config.ratios]
     doc["token_counts"] = [int(v) for v in config.token_counts]
     doc["source"] = config.source

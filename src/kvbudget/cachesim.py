@@ -426,6 +426,8 @@ def prefill_compress(
     _check_covers(config, trace.meta, "trace")
     if np.any(config.token_counts > N):
         raise MismatchError("token_counts exceed the trace length")
+    if np.any(config.token_counts < 0):
+        raise MismatchError("token_counts must be nonnegative")
     if merge_policy == "feature" and trace.keys is None:
         raise MismatchError("feature merging requires a trace with key/value vectors")
 

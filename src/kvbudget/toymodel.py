@@ -78,12 +78,17 @@ class ToyModel:
         # (N, dim) -> (H, N, head_dim)
         return x.reshape(-1, self.heads, self.head_dim).transpose(1, 0, 2)
 
-    def _check_ids(self, ids: np.ndarray) -> None:
+    def _check_ids(self, token_ids) -> np.ndarray:
+        """Token ids as int64, refusing any that are not integers in the vocabulary."""
+        ids = np.asarray(token_ids)
         if ids.ndim != 1 or len(ids) == 0:
             raise UsageError("token ids must form a non-empty 1-D sequence")
+        if ids.dtype.kind not in "iu":
+            raise UsageError(f"token ids must be integers, got dtype {ids.dtype}")
         if np.any(ids < 0) or np.any(ids >= self.vocab):
             bad = ids[(ids < 0) | (ids >= self.vocab)][0]
             raise UsageError(f"token id {bad} outside vocabulary of size {self.vocab}")
+        return ids.astype(np.int64)
 
 
 def _forward(model: ToyModel, ids: np.ndarray):
@@ -120,8 +125,7 @@ def forward_trace(model: ToyModel, token_ids) -> AttentionTrace:
     Captures full attention matrices, per-head key/value vectors and the
     post-attention residual stream of every layer.
     """
-    ids = np.asarray(token_ids, dtype=np.int64)
-    model._check_ids(ids)
+    ids = model._check_ids(token_ids)
     attention, keys, values, features = _forward(model, ids)
     meta = TraceMeta(
         layers=model.layers, heads=model.heads, seq_len=len(ids),
@@ -167,7 +171,7 @@ def decode(
     if forced_tokens is not None:
         if len(forced_tokens) < steps:
             raise UsageError("forced_tokens must cover every decode step")
-        model._check_ids(np.asarray(forced_tokens, dtype=np.int64))
+        model._check_ids(forced_tokens)
     L, H, hd = model.layers, model.heads, model.head_dim
     shape = (trace.meta.layers, trace.meta.heads, trace.features.shape[2])
     if shape != (L, H, model.dim):

@@ -268,6 +268,9 @@ def synth_trace(
     concentrated column mass, large values disperse it. Identical
     arguments always produce bit-identical traces.
     """
+    for name, size in (("layers", layers), ("heads", heads), ("seq_len", seq_len)):
+        if not _is_int(size):
+            raise UsageError(f"{name} must be an integer, got {size!r}")
     conc = np.asarray(concentration, dtype=float)
     if conc.shape != (layers,):
         raise UsageError(f"concentration must have length {layers}, got shape {conc.shape}")
@@ -276,6 +279,8 @@ def synth_trace(
     if not _is_int(seed) or seed < 0:
         raise UsageError(f"seed must be nonnegative, got {seed}")
 
+    # The sizes and seed are integers by now; int() turns numpy ones into
+    # the Python ints that the JSON writer takes.
     meta = TraceMeta(layers=int(layers), heads=int(heads), seq_len=int(seq_len), label=label, seed=int(seed))
     L, H, N = meta.layers, meta.heads, meta.seq_len
     _check_size("attention", (L, H, N, N))

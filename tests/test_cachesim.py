@@ -100,6 +100,12 @@ class TestPrefill:
             with pytest.raises(MismatchError, match="importance profile"):
                 prefill_compress(trace, config, profile=profile)
 
+    def test_negative_count_rejected(self):
+        # Count -1 used to keep order[:-1], that is N - 1 positions.
+        trace = shortcut_trace([[0.7, 0.2, 0.05, 0.05], [0.1, 0.2, 0.3, 0.4]])
+        with pytest.raises(MismatchError, match="token_counts must be nonnegative"):
+            prefill_compress(trace, importance_config([-1, 3], 4, 0.25))
+
     def test_feature_merge_requires_kv(self):
         trace = shortcut_trace([[1.0, 1.0, 1.0, 1.0]])
         with pytest.raises(MismatchError, match="key/value"):

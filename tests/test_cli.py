@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from kvbudget import (
+    AttentionTrace,
+    TraceMeta,
     compute_importance,
     layer_stats,
     load_config,
     load_trace,
     priority_sequence,
+    save_trace,
 )
 from kvbudget.cli import _recorded_args, main, parse_budget
 
@@ -127,6 +130,23 @@ class TestPlan:
         assert config.source == "online"
         assert config.policy == "prefixkv"
 
+    def test_counts_do_not_depend_on_the_search_tolerance(self, tmp_path):
+        # Eight layers from dispersed to concentrated importance, as the
+        # plan benchmark draws them. The search stops at a different
+        # threshold for each tolerance; the plan is the global prefix anyway.
+        rng = np.random.default_rng([7, 1])
+        shapes = np.geomspace(4.0, 0.05, 8) * np.exp(0.1 * rng.standard_normal(8))
+        raw = rng.standard_gamma(shapes[:, None], size=(8, 512))
+        save_trace(AttentionTrace(meta=TraceMeta(layers=8, heads=1, seq_len=512), importance=raw),
+                   tmp_path / "t.npz")
+        counts = []
+        for tol in ("0", "0.025", "0.1"):
+            assert run(["plan", "--budget", "0.3", "--delta-tol", tol, "--out", f"{tol}.json",
+                        "t.npz"], tmp_path) == 0
+            counts.append(load_config(tmp_path / f"{tol}.json").token_counts.tolist())
+        assert counts[0] == counts[1] == counts[2]
+        assert sum(counts[0]) == round(0.3 * 8 * 512)
+
     def test_percentage_budget(self, tmp_path, dirichlet_trace):
         run(["plan", "--budget", "50%", "--out", "p.json", "t.json"], tmp_path)
         run(["plan", "--budget", "0.5", "--out", "f.json", "t.json"], tmp_path)
@@ -234,26 +254,27 @@ def _digest(path) -> str:
 class TestGoldenOutputs:
     """Every kind of CLI output pinned byte for byte.
 
-    The trace-mode ``simulate`` digests were recorded from the per-entry
-    cache implementation that the array-backed one replaced; any drift in
-    eviction order, merge targets or retained shares changes them. The
-    others were recorded before the ranking, the CSV writer and the
-    replay path each got a single implementation.
+    The prefixkv ``plan``, ``simulate``, trace ``compare`` and disturbance
+    digests were recorded when prefixkv counts became the exact global
+    prefix with ``ratios = counts / N``; any drift in eviction order, merge
+    targets or retained shares changes them. The others were recorded
+    before the ranking, the CSV writer and the replay path each got a
+    single implementation.
     """
 
     LOG = {
-        "none": "b029cbf22acca7103f7d90f819dccf166e098a359831f626a4cb95cd10fe9f01",
-        "position": "4056e3c332d3fc2d78c1797156dd9bfd1e2f6fa817ba53bd71866cf0bbe93474",
-        "feature": "6bac7d4cf61033a74591d98cbead40dbdb43833749b1522d03c40227d76fb465",
+        "none": "f9977b7df9304713ced88468e9c6462395e018cc6cd748d9a5d67a4109a5247f",
+        "position": "39a26a9e31850342a3625f8d8ac23259bed7f1d90aaef86e66e46eedd8c71f8e",
+        "feature": "42b04a24260821d111666f98d6d21218e75b5418bd996b7b7a619b2fb3d8bc62",
     }
-    INFO = "1b5a835c167f0ae39e8e86304962c3e0fce7a8f21f1911e0d982682b67ce606a"
+    INFO = "d39fec4a57b12bf4ab8e3dd28970720ea04f21e453fdeeb9438b67458f9bbd1b"
     ANALYZE = {
         "lorenz.csv": "cb951c380a263002f41331936e2167b66fdb9dc54bfd486aa34488a16c698add",
         "gini.csv": "e479be0b9752d31fb910823be17447d839a37cff6467645836cb6bd2c8859297",
     }
     PLAN = {
         ("--policy", "prefixkv"):
-            "8181d651349461b5e8a89549849c20c9eba4adc9b25608591c5daab393e97f70",
+            "a77576f2725171fb6496d97bb37f6e42ee3b01dfb0bb6302ef1cb62daec8a937",
         ("--policy", "uniform"):
             "3530348fe731f1f8f63a67f29554c56d5f14e43144fad03a9a97ed570d0283af",
         ("--policy", "pyramid"):
@@ -261,15 +282,15 @@ class TestGoldenOutputs:
         ("--policy", "local"):
             "938581bba8db4803485f47631897f0e071aac61efdecb6b68732d5a00823295a",
         ("--offline", "--method=per-sample-mean"):
-            "1a190969b58bbd3682686e054718598718bccceb474f3582558da9e81e056e1f",
+            "568a11c0f769d85897d8b30391613ec46f8113b6aca239c4ecfe067bb1fad016",
         ("--offline", "--method=pooled-curve"):
-            "bf9883966076ca6014f056bdb10d472e15d6fc8716a58ef20a5a2966893d5e85",
+            "9b4f93e97bf7e1f1d335aa7b3ff53410b908a36a9b05cb55132976c070a83ea1",
     }
     COMPARE = {
-        "trace": "c5c374afb0c9858fc1a6a054062e0563e17403bcfc35ba2a093f43d28d4e8d10",
+        "trace": "c8bb83562c59c65b20412481349e75265f35437dc84e62edab0e98dc7f8b22d8",
         "toy": "b47257b64ccc12967428f63b30cf3c92f9523361c901a61025b22e1be3e9edb2",
     }
-    DISTURBANCE = "4001124c97e37893137dbf4bd386c3417c789ad371ecdadc79216fe3b83df370"
+    DISTURBANCE = "99b8ef1ffa9097867489cf67f30bc342a3000d9b2586636e88b44cd967b8a3f8"
     TOY = ["--toy-seed", "4", "--toy-layers", "2", "--toy-heads", "2", "--toy-dim", "8",
            "--toy-vocab", "32", "--prompt-len", "16"]
 

@@ -57,6 +57,12 @@ class TestForwardTrace:
         with pytest.raises(ValueError, match="non-empty"):
             forward_trace(model, [])
 
+    @pytest.mark.parametrize("ids", [[1.7, 2.2, 3.9], [True, False]], ids=["float", "bool"])
+    def test_non_integer_ids_rejected(self, model, ids):
+        # Unchecked, the int64 cast ran [1.7, 2.2, 3.9] as ids 1, 2, 3.
+        with pytest.raises(UsageError, match="token ids must be integers"):
+            forward_trace(model, ids)
+
     def test_dim_head_divisibility(self):
         with pytest.raises(ValueError, match="divisible"):
             ToyModel(dim=30, heads=4)
@@ -177,6 +183,15 @@ class TestDecode:
         state = full_cache_state(trace)
         with pytest.raises(UsageError, match=f"token id {bad} outside vocabulary of size 128"):
             decode(model, trace, 2, state, forced_tokens=[bad, 3])
+        assert state.current_len == 20 and not state.step_log
+
+    @pytest.mark.parametrize("forced", [[1.7, 2.2], [True, False]], ids=["float", "bool"])
+    def test_forced_tokens_must_be_integers(self, model, forced):
+        # Unchecked, the int64 cast ran 1.7 as id 1 and True as id 1.
+        trace = forward_trace(model, prompt_for(model, 20))
+        state = full_cache_state(trace)
+        with pytest.raises(UsageError, match="token ids must be integers"):
+            decode(model, trace, 2, state, forced_tokens=forced)
         assert state.current_len == 20 and not state.step_log
 
     @pytest.mark.parametrize("other", [dict(layers=5), dict(heads=4), dict(dim=16)],

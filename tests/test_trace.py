@@ -217,6 +217,14 @@ class TestSynth:
         with pytest.raises(UsageError, match=f"seed must be nonnegative, got {seed}"):
             synth_trace(2, 1, 8, [0.5, 1.0], seed=seed)
 
+    @pytest.mark.parametrize("size", ["layers", "heads", "seq_len"])
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_rejects_non_integer_sizes(self, size, value):
+        # heads=1.5 and heads=True used to build a 1-head trace through int().
+        sizes = {"layers": 1, "heads": 1, "seq_len": 8, size: value}
+        with pytest.raises(UsageError, match=f"{size} must be an integer, got {value}"):
+            synth_trace(**sizes, concentration=[1.0], seed=0)
+
     def test_rows_that_underflow_attend_to_themselves(self):
         # At this concentration every gamma draw underflows to 0, so each
         # row would sum to 0; the guard puts its whole mass on the diagonal.
