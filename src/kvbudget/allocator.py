@@ -6,7 +6,9 @@ p such that retaining, in each layer, the smallest priority prefix whose
 cumulative priority reaches p consumes exactly r of the total cache.
 The plan itself is the exact global prefix: the ``round(r * L * N)``
 cheapest tokens in one order over every layer, so it never depends on
-where the search stopped, and more budget never shrinks a layer.
+where the search stopped, and more budget never shrinks a layer. A
+budget is therefore only r and a per-layer floor; the search stops by
+the module constants ``DELTA_TOL`` and ``MAX_STEPS``.
 Uniform, pyramid-ramp and positional ("local") baseline policies, and
 the per-sample-mean offline estimate, round real-valued per-layer
 ratios onto the same exact budget instead.
@@ -33,32 +35,35 @@ POLICIES = ("prefixkv", "uniform", "pyramid", "local")
 OFFLINE_METHODS = ("per-sample-mean", "pooled-curve")
 
 
+# The threshold search stops once the summed-ratio budget difference is
+# within DELTA_TOL, or after MAX_STEPS evaluations. Both shape only the
+# search and its recorded outcome: a plan's counts are the exact global
+# prefix wherever the search stopped.
+DELTA_TOL = 0.025
+MAX_STEPS = 32
+
+
 @dataclass(frozen=True)
 class BudgetSpec:
-    """Compression budget and search termination knobs.
+    """Compression budget: the ratio r of the full cache a plan keeps.
 
-    ``delta_tol`` bounds the acceptable budget difference in summed-ratio
-    units and ``max_steps`` the evaluations; both end the threshold search
-    and shape its recorded outcome, never a prefixkv plan's counts.
     ``min_tokens_per_layer`` floors every layer's cache so no layer ends
-    up empty at decode time (set 0 to disable).
+    up empty at decode time (set 0 to disable). Both settings change a
+    plan; how the threshold search stops does not, so it is no setting
+    here (see ``DELTA_TOL`` and ``MAX_STEPS``).
     """
 
     r: float
-    delta_tol: float = 0.025
-    max_steps: int = 32
     min_tokens_per_layer: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.r <= 1.0:
             raise BudgetError(f"compression ratio must be in (0, 1], got {self.r}")
-        if not 0.0 <= self.delta_tol < math.inf:
-            raise BudgetError(f"delta_tol must be finite and nonnegative, got {self.delta_tol}")
-        if not _is_int(self.max_steps) or self.max_steps < 1:
-            raise BudgetError(f"max_steps must be an integer of at least 1, got {self.max_steps!r}")
         if not _is_int(self.min_tokens_per_layer) or self.min_tokens_per_layer < 0:
             raise BudgetError("min_tokens_per_layer must be a nonnegative integer, "
                               f"got {self.min_tokens_per_layer!r}")
+        # A Python int, which the configuration writer takes.
+        object.__setattr__(self, "min_tokens_per_layer", int(self.min_tokens_per_layer))
 
 
 @dataclass(frozen=True)
@@ -144,7 +149,8 @@ def _insertion_points(cumulative: np.ndarray, values) -> np.ndarray:
     return points
 
 
-def binary_search(seq: PrioritySequence, budget: BudgetSpec) -> SearchResult:
+def binary_search(seq: PrioritySequence, budget: BudgetSpec, *, delta_tol: float = DELTA_TOL,
+                  max_steps: int = MAX_STEPS) -> SearchResult:
     """Bisect on the retention threshold until the budget difference vanishes.
 
     Follows the midpoint recurrence p <- (p1 + p2) / 2 starting from
@@ -156,11 +162,20 @@ def binary_search(seq: PrioritySequence, budget: BudgetSpec) -> SearchResult:
     inside the bracket: no further midpoint can improve on the best
     difference already seen, which is then returned (converged=False if
     it missed the tolerance).
+
+    Planning always searches with ``DELTA_TOL`` and ``MAX_STEPS``; the
+    two keywords exist so that the search itself can be studied, and a
+    plan's counts do not depend on them.
     """
-    return _search(seq.cumulative, budget)
+    if not 0.0 <= delta_tol < math.inf:
+        raise UsageError(f"delta_tol must be finite and nonnegative, got {delta_tol}")
+    if not _is_int(max_steps) or max_steps < 1:
+        raise UsageError(f"max_steps must be an integer of at least 1, got {max_steps!r}")
+    return _search(seq.cumulative, budget, delta_tol, max_steps)
 
 
-def _search(cumulative: np.ndarray, budget: BudgetSpec) -> SearchResult:
+def _search(cumulative: np.ndarray, budget: BudgetSpec, delta_tol: float = DELTA_TOL,
+            max_steps: int = MAX_STEPS) -> SearchResult:
     L, N = cumulative.shape
     target = budget.r * L
     if budget.r == 1.0:
@@ -192,10 +207,10 @@ def _search(cumulative: np.ndarray, budget: BudgetSpec) -> SearchResult:
     rows = np.arange(L)
     i, j = _insertion_points(cumulative, [np.nextafter(0.0, np.inf), 1.0]).T
     p1, p2 = 0.0, 1.0
-    while steps < budget.max_steps:
+    while steps < max_steps:
         p = (p1 + p2) / 2.0
         delta, points = evaluate(p)
-        if delta == 0.0 or abs(delta) <= budget.delta_tol:
+        if delta == 0.0 or abs(delta) <= delta_tol:
             return SearchResult(p=p, steps=steps, delta_final=delta, converged=True)
         if delta < 0.0:
             p1, i = p, points[:, 1]
@@ -204,10 +219,10 @@ def _search(cumulative: np.ndarray, budget: BudgetSpec) -> SearchResult:
         above = cumulative[rows[i < N], i[i < N]].min(initial=np.inf)
         below = cumulative[rows[j > 0], j[j > 0] - 1].max(initial=-np.inf)
         if above >= p2 or above == below:
-            if above == below and steps < budget.max_steps:
+            if above == below and steps < max_steps:
                 v = float(above)
                 delta_v, _ = evaluate(v)
-                if delta_v == 0.0 or abs(delta_v) <= budget.delta_tol:
+                if delta_v == 0.0 or abs(delta_v) <= delta_tol:
                     return SearchResult(p=v, steps=steps, delta_final=delta_v, converged=True)
             break
     return SearchResult(p=best_p, steps=steps, delta_final=best_delta, converged=False)
@@ -411,7 +426,7 @@ def baseline_config(
         raise UsageError(f"unknown baseline kind {kind!r}")
     return _realize(
         raw, budget, meta.seq_len, policy=kind, source="baseline",
-        threshold=None, sink_count=sink_count if kind == "local" else None,
+        threshold=None, sink_count=int(sink_count) if kind == "local" else None,
     )
 
 
@@ -431,8 +446,8 @@ def config_to_dict(config: PrefixConfiguration) -> dict:
 
 
 # Configuration fields that hold counts; every other number is a finite real.
-_COUNT_FIELDS = ("max_steps", "min_tokens_per_layer", "seq_len", "steps", "samples",
-                 "sink_count", "token_counts")
+_COUNT_FIELDS = ("min_tokens_per_layer", "seq_len", "steps", "samples", "sink_count",
+                 "token_counts")
 
 
 def _check_numbers(doc: dict) -> None:
@@ -443,7 +458,7 @@ def _check_numbers(doc: dict) -> None:
     """
     budget = doc["budget"] if isinstance(doc.get("budget"), dict) else {}
     fields = [(f"budget.{k}", k, budget[k])
-              for k in ("r", "delta_tol", "max_steps", "min_tokens_per_layer") if k in budget]
+              for k in ("r", "min_tokens_per_layer") if k in budget]
     fields += [(k, k, doc[k]) for k in ("seq_len", "p", "steps", "delta_final", "samples",
                                         "sink_count") if doc.get(k) is not None]
     for k in ("ratios", "token_counts"):
@@ -462,12 +477,10 @@ def config_from_dict(doc: dict) -> PrefixConfiguration:
     _check_numbers(doc)
     try:
         b = doc["budget"]
-        budget = BudgetSpec(
-            r=b["r"],
-            delta_tol=b.get("delta_tol", BudgetSpec.delta_tol),
-            max_steps=b.get("max_steps", BudgetSpec.max_steps),
-            min_tokens_per_layer=b.get("min_tokens_per_layer", BudgetSpec.min_tokens_per_layer),
-        )
+        # Older budget blocks also hold delta_tol and max_steps; they never
+        # changed a count, so they are ignored.
+        budget = BudgetSpec(r=b["r"], min_tokens_per_layer=b.get(
+            "min_tokens_per_layer", BudgetSpec.min_tokens_per_layer))
         threshold = None
         if "p" in doc:
             threshold = SearchResult(
@@ -487,13 +500,32 @@ def config_from_dict(doc: dict) -> PrefixConfiguration:
             samples=doc.get("samples"),
             sink_count=doc.get("sink_count"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed configuration document: {exc}") from exc
+    _check_invariants(config)
+    return config
+
+
+def _check_invariants(config: PrefixConfiguration) -> None:
+    """Refuse a configuration that breaks what every plan guarantees."""
     if config.policy not in POLICIES:
         raise ParseError(f"unknown policy {config.policy!r}")
-    if len(config.ratios) != len(config.token_counts):
-        raise ParseError("ratios and token_counts disagree on layer count")
-    return config
+    if config.source not in ("online", "offline", "baseline"):
+        raise ParseError(f"unknown source {config.source!r}")
+    N, ratios, counts = config.seq_len, config.ratios, config.token_counts
+    if N < 1:
+        raise ParseError(f"seq_len must be at least 1, got {N}")
+    if ratios.ndim != 1 or ratios.shape != counts.shape or not len(ratios):
+        raise ParseError("a configuration needs at least one layer and, for every layer, "
+                         "one ratio and one token count")
+    floor = config.budget.min_tokens_per_layer
+    if counts.min() < floor or counts.max() > N:
+        raise ParseError(f"token_counts must lie in [{floor}, {N}], got {counts.tolist()}")
+    total = _budget_tokens(config.budget, len(counts), N)
+    if counts.sum() != total:
+        raise ParseError(f"token_counts sum to {counts.sum()}, not the budget's {total} tokens")
+    if ratios.min() < 0.0 or ratios.max() > 1.0:
+        raise ParseError(f"ratios must lie in [0, 1], got {ratios.tolist()}")
 
 
 def save_config(config: PrefixConfiguration, path: str | Path) -> None:

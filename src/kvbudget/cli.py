@@ -160,24 +160,12 @@ BUDGET_HELP = "compression ratio, fraction or percentage (0.5 or 50%%)"
 
 
 def _budget_from_args(args: argparse.Namespace, r: float) -> BudgetSpec:
-    return BudgetSpec(
-        r=r,
-        delta_tol=args.delta_tol,
-        max_steps=args.max_steps,
-        min_tokens_per_layer=args.min_per_layer,
-    )
+    return BudgetSpec(r=r, min_tokens_per_layer=args.min_per_layer)
 
 
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
-    """The search and floor settings of a BudgetSpec; the ratio flags differ per command."""
-    parser.add_argument("--delta-tol", type=float, default=BudgetSpec.delta_tol,
-                        help="stop the threshold search once the budget difference is within "
-                             "this; bounds the search and its recorded fields, not the counts")
-    parser.add_argument("--max-steps", type=int, default=BudgetSpec.max_steps,
-                        help="maximum threshold evaluations of the search; like --delta-tol, "
-                             "it bounds the search, not the counts")
-    parser.add_argument("--min-per-layer", "--layers-min", dest="min_per_layer",
-                        type=int, default=BudgetSpec.min_tokens_per_layer,
+    """The layer floor of a BudgetSpec; the ratio flags differ per command."""
+    parser.add_argument("--min-per-layer", type=int, default=BudgetSpec.min_tokens_per_layer,
                         help="minimum retained tokens per layer")
 
 

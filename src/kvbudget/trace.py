@@ -67,6 +67,10 @@ class TraceMeta:
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ValidationError(f"meta.{name} must be a positive integer, got {value!r}")
+            # Python ints, which the JSON writers take; numpy ones are accepted too.
+            object.__setattr__(self, name, int(value))
+        if _is_int(self.seed):
+            object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -242,7 +246,7 @@ def trace_prefix(trace: AttentionTrace, n: int) -> AttentionTrace:
         return trace
     if trace.is_shortcut:
         raise ValidationError("importance-only trace cannot be truncated to a prefix")
-    meta = dataclasses.replace(trace.meta, seq_len=int(n))
+    meta = dataclasses.replace(trace.meta, seq_len=n)
     return AttentionTrace(
         meta=meta,
         attention=_read_only(trace.attention[:, :, :n, :n]),
@@ -279,9 +283,7 @@ def synth_trace(
     if not _is_int(seed) or seed < 0:
         raise UsageError(f"seed must be nonnegative, got {seed}")
 
-    # The sizes and seed are integers by now; int() turns numpy ones into
-    # the Python ints that the JSON writer takes.
-    meta = TraceMeta(layers=int(layers), heads=int(heads), seq_len=int(seq_len), label=label, seed=int(seed))
+    meta = TraceMeta(layers=layers, heads=heads, seq_len=seq_len, label=label, seed=seed)
     L, H, N = meta.layers, meta.heads, meta.seq_len
     _check_size("attention", (L, H, N, N))
     rng = np.random.default_rng(seed)

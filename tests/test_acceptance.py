@@ -86,7 +86,7 @@ def test_02_brute_force_optimality():
             continue
         raw = rng.uniform(0.05, 1.0, size=(L, N))
         seq = seq_from_importance(raw)
-        budget = BudgetSpec(r=r, delta_tol=0.0)
+        budget = BudgetSpec(r=r)
         config = plan_online(seq, budget)
         best = None
         for c in sorted(set(seq.cumulative.ravel().tolist())):
@@ -116,7 +116,7 @@ def test_03_max_min_dominance():
         trace = random_trace(rng, (L, L + 1), (N, N + 1))
         profile = compute_importance(trace)
         seq = priority_sequence(profile)
-        budget = BudgetSpec(r=r, delta_tol=0.0)
+        budget = BudgetSpec(r=r)
 
         def min_retained(config):
             values = []
@@ -144,7 +144,7 @@ def test_04_binary_search_behavior():
         prompt = np.random.default_rng(model.seed).integers(0, model.vocab, 96)
         seq = priority_sequence(compute_importance(forward_trace(model, prompt)))
         for j, tol in enumerate(tols):
-            result = binary_search(seq, BudgetSpec(r=0.5, delta_tol=tol))
+            result = binary_search(seq, BudgetSpec(r=0.5), delta_tol=tol)
             totals[j] += result.steps
             worst = max(worst, result.steps)
     averages = totals / 20

@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kvbudget import (
@@ -28,7 +29,8 @@ from kvbudget import (
     layer_stats,
 )
 
-from kvbudget.allocator import _apportion, _ratios_at, _resample_cumulative
+from kvbudget.allocator import (OFFLINE_METHODS, _apportion, _ratios_at, _resample_cumulative,
+                                config_from_dict, config_to_dict)
 from conftest import seq_from_importance
 
 
@@ -59,15 +61,15 @@ def scan_threshold_oracle(cumulative, r):
     return best[1]
 
 
-def unique_bracket_search(cumulative, budget):
+def unique_bracket_search(cumulative, r, delta_tol, max_steps):
     """The search as it stood with a sorted union of all cumulative values.
 
     It stops once at most one candidate lies strictly inside (p1, p2),
     evaluating that one if there is exactly one.
     """
     L, _ = cumulative.shape
-    target = budget.r * L
-    if budget.r == 1.0:
+    target = r * L
+    if r == 1.0:
         return SearchResult(p=1.0, steps=0, delta_final=0.0, converged=True)
     candidates = np.unique(cumulative)
     evaluated = []
@@ -81,19 +83,19 @@ def unique_bracket_search(cumulative, budget):
         return SearchResult(p=p, steps=len(evaluated), delta_final=delta, converged=True)
 
     p1, p2 = 0.0, 1.0
-    while len(evaluated) < budget.max_steps:
+    while len(evaluated) < max_steps:
         p = (p1 + p2) / 2.0
         delta = evaluate(p)
-        if abs(delta) <= budget.delta_tol:
+        if abs(delta) <= delta_tol:
             return done(p, delta)
         p1, p2 = (p, p2) if delta < 0.0 else (p1, p)
         lo = np.searchsorted(candidates, p1, side="right")
         hi = np.searchsorted(candidates, p2, side="left")
         if hi - lo <= 1:
-            if hi - lo == 1 and len(evaluated) < budget.max_steps:
+            if hi - lo == 1 and len(evaluated) < max_steps:
                 v = float(candidates[lo])
                 delta_v = evaluate(v)
-                if abs(delta_v) <= budget.delta_tol:
+                if abs(delta_v) <= delta_tol:
                     return done(v, delta_v)
             break
     *_, p, delta = min(evaluated)
@@ -125,19 +127,32 @@ def random_seq(rng, layers=(2, 8), tokens=(8, 64)):
     return priority_sequence(random_profile(rng, layers, tokens))
 
 
+def test_budget_holds_only_what_changes_a_plan():
+    assert [field.name for field in dataclasses.fields(BudgetSpec)] == [
+        "r", "min_tokens_per_layer"]
+    with pytest.raises(TypeError):
+        BudgetSpec(r=0.5, delta_tol=0.0)
+
+
 @pytest.mark.parametrize("delta_tol", [float("nan"), float("inf"), -0.1])
-def test_budget_rejects_non_finite_or_negative_tolerance(delta_tol):
-    with pytest.raises(BudgetError, match="delta_tol must be finite and nonnegative"):
-        BudgetSpec(r=0.5, delta_tol=delta_tol)
+def test_budget_rejects_non_finite_or_negative_tolerance(two_layer_seq, delta_tol):
+    # The tolerance is a binary_search keyword, so a bad one is a usage error.
+    with pytest.raises(UsageError, match="delta_tol must be finite and nonnegative"):
+        binary_search(two_layer_seq, BudgetSpec(r=0.5), delta_tol=delta_tol)
 
 
 @pytest.mark.parametrize("field, value", [
     ("max_steps", 2.5), ("max_steps", True), ("max_steps", 0),
     ("min_tokens_per_layer", 1.5), ("min_tokens_per_layer", True), ("min_tokens_per_layer", -1),
 ])
-def test_budget_counts_must_be_integers_in_range(field, value):
-    with pytest.raises(BudgetError, match=f"{field} must be a"):
-        BudgetSpec(r=0.3, **{field: value})
+def test_budget_counts_must_be_integers_in_range(two_layer_seq, field, value):
+    # The layer floor is a BudgetSpec field; the step limit is a binary_search keyword.
+    if field == "max_steps":
+        with pytest.raises(UsageError, match="max_steps must be an integer of at least 1"):
+            binary_search(two_layer_seq, BudgetSpec(r=0.3), max_steps=value)
+    else:
+        with pytest.raises(BudgetError, match=f"{field} must be a"):
+            BudgetSpec(r=0.3, **{field: value})
 
 
 class TestRatioAtThreshold:
@@ -175,12 +190,12 @@ class TestRatioAtThreshold:
 class TestBinarySearch:
     def test_reference_midpoint_trace(self, two_layer_seq):
         # Midpoints are forced: 0.5 (delta -0.25), 0.75 (+0.25), 0.625 (0).
-        result = binary_search(two_layer_seq, BudgetSpec(r=0.5, delta_tol=0.0))
+        result = binary_search(two_layer_seq, BudgetSpec(r=0.5), delta_tol=0.0)
         assert result.p == 0.625
         assert result.steps == 3
         assert result.delta_final == 0.0
         assert result.converged
-        config = finalize_config(two_layer_seq, result, BudgetSpec(r=0.5, delta_tol=0.0))
+        config = finalize_config(two_layer_seq, result, BudgetSpec(r=0.5))
         assert config.ratios.tolist() == [0.25, 0.75]
 
     def test_full_budget_boundary(self, two_layer_seq):
@@ -200,11 +215,11 @@ class TestBinarySearch:
         for _ in range(15):
             seq = random_seq(rng, tokens=(48, 128))
             for i, tol in enumerate(tols):
-                totals[i] += binary_search(seq, BudgetSpec(r=0.5, delta_tol=tol)).steps
+                totals[i] += binary_search(seq, BudgetSpec(r=0.5), delta_tol=tol).steps
         assert np.all(np.diff(totals) <= 0)
 
     def test_respects_max_steps(self, two_layer_seq):
-        result = binary_search(two_layer_seq, BudgetSpec(r=0.5, delta_tol=0.0, max_steps=1))
+        result = binary_search(two_layer_seq, BudgetSpec(r=0.5), delta_tol=0.0, max_steps=1)
         assert result.steps == 1
         assert not result.converged
 
@@ -218,7 +233,7 @@ class TestBinarySearch:
             r = float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
             if round(r * L * N) < L:
                 continue
-            result = binary_search(seq, BudgetSpec(r=r, delta_tol=0.025))
+            result = binary_search(seq, BudgetSpec(r=r), delta_tol=0.025)
             assert result.steps <= math.ceil(math.log2(L * N)) + 4
 
     @settings(max_examples=150, deadline=None)
@@ -237,13 +252,13 @@ class TestBinarySearch:
         raw = np.asarray(raw, dtype=float)
         raw[:, 0] += 1.0
         seq = seq_from_importance(raw)
-        budget = BudgetSpec(r=r, delta_tol=delta_tol, max_steps=max_steps)
-        assert binary_search(seq, budget) == unique_bracket_search(seq.cumulative, budget)
+        result = binary_search(seq, BudgetSpec(r=r), delta_tol=delta_tol, max_steps=max_steps)
+        assert result == unique_bracket_search(seq.cumulative, r, delta_tol, max_steps)
 
 
 class TestFinalize:
     def test_token_realization_example(self, two_layer_seq):
-        budget = BudgetSpec(r=0.5, delta_tol=0.0)
+        budget = BudgetSpec(r=0.5)
         config = finalize_config(two_layer_seq, binary_search(two_layer_seq, budget), budget)
         assert config.token_counts.tolist() == [1, 3]
         assert config.token_counts.sum() == round(0.5 * 2 * 4)
@@ -309,7 +324,7 @@ class TestFinalize:
             r = float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
             if round(r * L * N) < L:
                 continue
-            budget = BudgetSpec(r=r, delta_tol=0.0)
+            budget = BudgetSpec(r=r)
             result = binary_search(seq, budget)
             config = finalize_config(seq, result, budget)
             done += 1
@@ -361,9 +376,10 @@ class TestFinalize:
             if total < L * floor:
                 continue
             oracle = global_prefix_oracle(seq.cumulative, total, floor)
+            budget = BudgetSpec(r=r, min_tokens_per_layer=floor)
             for delta_tol in (0.0, 0.025, 0.1):
-                budget = BudgetSpec(r=r, delta_tol=delta_tol, min_tokens_per_layer=floor)
-                config = plan_online(seq, budget)
+                config = finalize_config(seq, binary_search(seq, budget, delta_tol=delta_tol),
+                                         budget)
                 assert config.token_counts.tolist() == oracle.tolist()
                 assert config.ratios.tolist() == (oracle / N).tolist()
             assert np.all(oracle >= previous)
@@ -380,7 +396,7 @@ class TestFinalize:
                 continue
             raw = rng.uniform(0.05, 1.0, size=(L, N))
             seq = seq_from_importance(raw)
-            budget = BudgetSpec(r=r, delta_tol=0.0)
+            budget = BudgetSpec(r=r)
             config = plan_online(seq, budget)
             p_star = scan_threshold_oracle(seq.cumulative, r)
             reference = finalize_config(
@@ -545,7 +561,7 @@ class TestBaselines:
 
 
 def test_config_round_trip(tmp_path, two_layer_seq):
-    budget = BudgetSpec(r=0.5, delta_tol=0.0)
+    budget = BudgetSpec(r=0.5)
     config = plan_online(two_layer_seq, budget)
     path = tmp_path / "config.json"
     save_config(config, path)
@@ -557,6 +573,56 @@ def test_config_round_trip(tmp_path, two_layer_seq):
     assert back.policy == config.policy
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    L=st.integers(1, 6),
+    N=st.integers(1, 40),
+    extra=st.lists(st.integers(0, 8), min_size=1, max_size=3),
+    r=st.floats(0.01, 1.0),
+    floor=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_plan_loads_again(L, N, extra, r, floor, seed):
+    # Every policy and both offline methods, on tie-heavy importance and
+    # samples of mixed lengths (N is the shortest): what a plan writes
+    # passes every check the configuration reader makes and reads back as
+    # the same plan.
+    assume(round(r * L * N) >= L * floor)
+    rng = np.random.default_rng(seed)
+    seqs = []
+    for n in [N + e for e in extra]:
+        raw = rng.integers(0, 3, (L, n)).astype(float)
+        raw[:, 0] += 1.0
+        seqs.append(seq_from_importance(raw))
+    budget = BudgetSpec(r=r, min_tokens_per_layer=floor)
+    meta = seqs[0].meta
+    configs = [plan_online(seqs[0], budget),
+               *(baseline_config(kind, budget, meta, sink_count=2)
+                 for kind in ("uniform", "pyramid", "local")),
+               *(estimate_offline(seqs, budget, method=method) for method in OFFLINE_METHODS)]
+    for config in configs:
+        back = config_from_dict(json.loads(json.dumps(config_to_dict(config))))
+        assert back.token_counts.tolist() == config.token_counts.tolist()
+        assert back.ratios.tolist() == config.ratios.tolist()
+        assert (back.budget, back.seq_len, back.threshold) == (
+            config.budget, config.seq_len, config.threshold)
+        assert (back.policy, back.source, back.samples, back.sink_count) == (
+            config.policy, config.source, config.samples, config.sink_count)
+
+
+@pytest.mark.parametrize("make", [
+    lambda seq: plan_online(seq, BudgetSpec(r=0.5, min_tokens_per_layer=np.int64(1))),
+    lambda seq: baseline_config("local", BudgetSpec(r=0.5), seq.meta, sink_count=np.int64(2)),
+], ids=["floor", "sink-count"])
+def test_numpy_integer_settings_are_written_as_integers(tmp_path, two_layer_seq, make):
+    # Both used to fail in json.dumps: "Object of type int64 is not JSON serializable".
+    config = make(two_layer_seq)
+    save_config(config, tmp_path / "c.json")
+    back = load_config(tmp_path / "c.json")
+    assert (back.budget, back.sink_count) == (config.budget, config.sink_count)
+    assert back.token_counts.tolist() == config.token_counts.tolist()
+
+
 @pytest.mark.parametrize("field, value", [
     (("ratios", 0), float("nan")),
     (("ratios", 1), float("inf")),
@@ -566,7 +632,7 @@ def test_config_round_trip(tmp_path, two_layer_seq):
     (("p",), float("-inf")),
     (("seq_len",), True),
     (("token_counts", 0), True),
-    (("budget", "max_steps"), False),
+    (("budget", "min_tokens_per_layer"), False),
     (("steps",), True),
     (("seq_len",), "64"),
     (("token_counts", 0), 2.5),

@@ -453,7 +453,7 @@ def test_per_layer_dominance_after_prefill():
         trace = synth_trace(L, 1, N, conc, seed=int(rng.integers(2**31)))
         profile = compute_importance(trace)
         seq = priority_sequence(profile)
-        budget = BudgetSpec(r=r, delta_tol=0.0)
+        budget = BudgetSpec(r=r)
         ranked = prefill_compress(trace, plan_online(seq, budget))
         uniform = prefill_compress(trace, baseline_config("uniform", budget, trace.meta))
         info_ranked = retained_info(ranked, profile)

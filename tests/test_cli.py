@@ -8,8 +8,11 @@ import pytest
 
 from kvbudget import (
     AttentionTrace,
+    BudgetSpec,
     TraceMeta,
+    binary_search,
     compute_importance,
+    finalize_config,
     layer_stats,
     load_config,
     load_trace,
@@ -123,8 +126,7 @@ class TestAnalyze:
 
 class TestPlan:
     def test_online_plan_budget_exact(self, tmp_path, dirichlet_trace):
-        assert run(["plan", "--budget", "0.5", "--delta-tol", "0.025",
-                    "--out", "c.json", "t.json"], tmp_path) == 0
+        assert run(["plan", "--budget", "0.5", "--out", "c.json", "t.json"], tmp_path) == 0
         config = load_config(tmp_path / "c.json")
         assert config.token_counts.sum() == round(0.5 * 2 * 40)
         assert config.source == "online"
@@ -133,19 +135,62 @@ class TestPlan:
     def test_counts_do_not_depend_on_the_search_tolerance(self, tmp_path):
         # Eight layers from dispersed to concentrated importance, as the
         # plan benchmark draws them. The search stops at a different
-        # threshold for each tolerance; the plan is the global prefix anyway.
+        # threshold for each tolerance; the plan is the global prefix anyway,
+        # so the command line has no tolerance to set.
         rng = np.random.default_rng([7, 1])
         shapes = np.geomspace(4.0, 0.05, 8) * np.exp(0.1 * rng.standard_normal(8))
         raw = rng.standard_gamma(shapes[:, None], size=(8, 512))
-        save_trace(AttentionTrace(meta=TraceMeta(layers=8, heads=1, seq_len=512), importance=raw),
-                   tmp_path / "t.npz")
-        counts = []
-        for tol in ("0", "0.025", "0.1"):
-            assert run(["plan", "--budget", "0.3", "--delta-tol", tol, "--out", f"{tol}.json",
-                        "t.npz"], tmp_path) == 0
-            counts.append(load_config(tmp_path / f"{tol}.json").token_counts.tolist())
-        assert counts[0] == counts[1] == counts[2]
-        assert sum(counts[0]) == round(0.3 * 8 * 512)
+        trace = AttentionTrace(meta=TraceMeta(layers=8, heads=1, seq_len=512), importance=raw)
+        save_trace(trace, tmp_path / "t.npz")
+        assert run(["plan", "--budget", "0.3", "--out", "c.json", "t.npz"], tmp_path) == 0
+        counts = load_config(tmp_path / "c.json").token_counts.tolist()
+        seq = priority_sequence(compute_importance(trace))
+        budget = BudgetSpec(r=0.3)
+        for tol in (0.0, 0.025, 0.1):
+            config = finalize_config(seq, binary_search(seq, budget, delta_tol=tol), budget)
+            assert config.token_counts.tolist() == counts
+        assert sum(counts) == round(0.3 * 8 * 512)
+
+    @pytest.mark.parametrize("command", [
+        ["plan", "--budget", "0.5", "t.json"],
+        ["simulate", "--budget", "0.5", "--trace", "t.json", "--steps", "2"],
+        ["compare", "--budgets", "0.5", "t.json"],
+    ], ids=["plan", "simulate", "compare"])
+    @pytest.mark.parametrize("flag", ["--delta-tol=0.01", "--max-steps=4"])
+    def test_search_settings_are_not_flags(self, tmp_path, capsys, dirichlet_trace, command,
+                                           flag):
+        assert run([*command, flag], tmp_path) == 1
+        assert capsys.readouterr().err == f"usage error: unrecognized arguments: {flag}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json", "t.json.manifest.json"]
+
+    def test_documents_that_record_search_settings(self, tmp_path, capsys, dirichlet_trace):
+        # Configurations and manifests written while the budget carried the
+        # search tolerance and step limit. The configuration's extra keys
+        # never changed a count, so it simulates as before; a manifest
+        # records flags, and these flags are gone.
+        assert run(["plan", "--budget", "0.5", "--prefill", "32", "--out", "c.json", "t.json"],
+                   tmp_path) == 0
+        config = json.loads((tmp_path / "c.json").read_text())
+        config["budget"] = {"r": 0.5, "delta_tol": 0.025, "max_steps": 32,
+                            "min_tokens_per_layer": 1}
+        (tmp_path / "old.json").write_text(json.dumps(config))
+        outputs = {}
+        for name in ("c.json", "old.json"):
+            assert run(["simulate", "--config", name, "--trace", "t.json", "--steps", "8",
+                        "--out-log", f"{name}.jsonl", "--out-info", f"{name}.csv"],
+                       tmp_path) == 0
+            outputs[name] = [(tmp_path / f"{name}{suffix}").read_bytes()
+                             for suffix in (".jsonl", ".csv")]
+        assert outputs["c.json"] == outputs["old.json"]
+
+        manifest = json.loads((tmp_path / "c.json.manifest.json").read_text())
+        manifest["params"].update(delta_tol=0.025, max_steps=32)
+        (tmp_path / "old.manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "c.json").unlink()
+        assert run(["replay", "old.manifest.json"], tmp_path) == 2
+        assert capsys.readouterr().err == ("error: manifest parameters ['delta_tol', "
+                                           "'max_steps'] do not belong to command 'plan'\n")
+        assert not (tmp_path / "c.json").exists()
 
     def test_percentage_budget(self, tmp_path, dirichlet_trace):
         run(["plan", "--budget", "50%", "--out", "p.json", "t.json"], tmp_path)
@@ -170,7 +215,7 @@ class TestPlan:
                     "m0.json", "m1.json"], tmp_path) == 1
 
     def test_infeasible_budget_exit_code(self, tmp_path, dirichlet_trace):
-        assert run(["plan", "--budget", "0.001", "--layers-min", "1",
+        assert run(["plan", "--budget", "0.001", "--min-per-layer", "1",
                     "--out", "x.json", "t.json"], tmp_path) == 3
 
     def test_baseline_policies(self, tmp_path, dirichlet_trace):
@@ -246,6 +291,35 @@ class TestSimulate:
                     "--toy-layers", "4", "--toy-heads", "2", "--toy-dim", "32",
                     "--prompt-len", "24", "--steps", steps], tmp_path) == 2
 
+    @pytest.mark.parametrize("patch, message", [
+        ({"token_counts": [3, 3]}, "token_counts sum to 6, not the budget's 20 tokens"),
+        ({"token_counts": [0, 40]}, "token_counts must lie in [1, 40], got [0, 40]"),
+        ({"token_counts": [-1, 21]}, "token_counts must lie in [1, 40], got [-1, 21]"),
+        ({"token_counts": [10**20, 1]}, "malformed configuration document"),
+        ({"ratios": [5.0, -2.0]}, "ratios must lie in [0, 1], got [5.0, -2.0]"),
+        ({"source": "bogus"}, "unknown source 'bogus'"),
+        ({"seq_len": 0}, "seq_len must be at least 1, got 0"),
+        ({"ratios": [], "token_counts": []}, "at least one layer"),
+        ({"ratios": [0.5]}, "one ratio and one token count"),
+        ({"ratios": 0.5}, "one ratio and one token count"),
+    ], ids=["off-budget", "below-floor", "negative", "huge", "ratios", "source", "zero-len",
+            "no-layers", "short-ratios", "ratios-number"])
+    def test_config_breaking_an_invariant_exits_2(self, tmp_path, capsys, dirichlet_trace,
+                                                  patch, message):
+        # Counts off the budget or below the floor, ratios outside [0, 1]
+        # and an unknown source used to simulate and exit 0; a count too
+        # large for int64 ended in an OverflowError traceback, and a number
+        # for ratios in a TypeError one.
+        assert run(["plan", "--budget", "0.25", "--out", "c.json", "t.json"], tmp_path) == 0
+        doc = json.loads((tmp_path / "c.json").read_text())
+        (tmp_path / "bad.json").write_text(json.dumps({**doc, **patch}))
+        assert run(["simulate", "--config", "bad.json", "--trace", "t.json", "--steps", "0"],
+                   tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "sim.jsonl").exists()
+        assert not (tmp_path / "retained_info.csv").exists()
+
 
 def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -254,12 +328,13 @@ def _digest(path) -> str:
 class TestGoldenOutputs:
     """Every kind of CLI output pinned byte for byte.
 
-    The prefixkv ``plan``, ``simulate``, trace ``compare`` and disturbance
-    digests were recorded when prefixkv counts became the exact global
-    prefix with ``ratios = counts / N``; any drift in eviction order, merge
-    targets or retained shares changes them. The others were recorded
-    before the ranking, the CSV writer and the replay path each got a
-    single implementation.
+    The prefixkv ``simulate``, trace ``compare`` and disturbance digests
+    were recorded when prefixkv counts became the exact global prefix with
+    ``ratios = counts / N``; any drift in eviction order, merge targets or
+    retained shares changes them. The ``plan`` digests were recorded when
+    the budget block became ``{r, min_tokens_per_layer}``. The others were
+    recorded before the ranking, the CSV writer and the replay path each
+    got a single implementation.
     """
 
     LOG = {
@@ -274,17 +349,17 @@ class TestGoldenOutputs:
     }
     PLAN = {
         ("--policy", "prefixkv"):
-            "a77576f2725171fb6496d97bb37f6e42ee3b01dfb0bb6302ef1cb62daec8a937",
+            "8150db3a2bcc9426a4b86b88d68e1f1c1da4c135d065bc0a5c1756b9f1db6726",
         ("--policy", "uniform"):
-            "3530348fe731f1f8f63a67f29554c56d5f14e43144fad03a9a97ed570d0283af",
+            "1ef2c18cb618dfc9e4ff940c73d164890c716db6f7a6ac4ae231bb8aceb2570c",
         ("--policy", "pyramid"):
-            "98afdac1ed31058016c0e5e031d06e6b0f6e61ab60eddad5cb1a0f23822ae152",
+            "c5a89b7bbac6394ec0d44832dabbb9f2c0ac964033f8a75de35102d5b03fdb43",
         ("--policy", "local"):
-            "938581bba8db4803485f47631897f0e071aac61efdecb6b68732d5a00823295a",
+            "7f966a4f2985ecc1143825c52ae921acf9bf4828556745f5e9b9e362572ccc03",
         ("--offline", "--method=per-sample-mean"):
-            "568a11c0f769d85897d8b30391613ec46f8113b6aca239c4ecfe067bb1fad016",
+            "bd341182668e2a82397f609e6f45e72aa44387bc6dc58267472eddfd5247f834",
         ("--offline", "--method=pooled-curve"):
-            "9b4f93e97bf7e1f1d335aa7b3ff53410b908a36a9b05cb55132976c070a83ea1",
+            "142adcd92b2f5614371d1f5d69ffd3b8b9bbdec3ea9caebb6997e5e740251034",
     }
     COMPARE = {
         "trace": "c8bb83562c59c65b20412481349e75265f35437dc84e62edab0e98dc7f8b22d8",
@@ -421,7 +496,7 @@ class TestManifests:
         (lambda doc: [doc], "manifest must be a JSON object"),
         (lambda doc: {**doc, "params": {k: v for k, v in doc["params"].items()
                                         if k != "budget"}}, "required: --budget"),
-        (lambda doc: {**doc, "params": {**doc["params"], "max_steps": "x"}},
+        (lambda doc: {**doc, "params": {**doc["params"], "min_per_layer": "x"}},
          "invalid int value: 'x'"),
         (lambda doc: {**doc, "params": {**doc["params"], "offline": "yes"}},
          "parameter 'offline' cannot be 'yes'"),
@@ -447,7 +522,7 @@ class TestManifests:
         assert not (tmp_path / "c.json").exists()
 
     def test_replayed_params_parse_to_the_recorded_namespace(self, tmp_path, dirichlet_trace):
-        assert run(["compare", "--budgets", "0.3,60%", "--delta-tol", "0.01",
+        assert run(["compare", "--budgets", "0.3,60%", "--min-per-layer", "2",
                     "--policies", "prefixkv,local", "t.json"], tmp_path) == 0
         params = json.loads((tmp_path / "compare.csv.manifest.json").read_text())["params"]
         args = _recorded_args("compare", params)
@@ -572,11 +647,13 @@ def test_offline_plan_refuses_baseline_policies(tmp_path, capsys, input_trace, p
     assert not list(tmp_path.iterdir())
 
 
+# The search tolerance is no flag, so a non-finite one is refused as an
+# unknown argument; it used to be refused as an infeasible budget (exit 3).
 @pytest.mark.parametrize("argv, code", [
-    (["plan", "--budget", "0.5", "--delta-tol", "nan", "TRACE"], 3),
-    (["plan", "--budget", "0.5", "--delta-tol", "inf", "--policy", "uniform", "TRACE"], 3),
+    (["plan", "--budget", "0.5", "--delta-tol", "nan", "TRACE"], 1),
+    (["plan", "--budget", "0.5", "--delta-tol", "inf", "--policy", "uniform", "TRACE"], 1),
     (["simulate", "--trace", "TRACE", "--budget", "0.5", "--steps", "2",
-      "--delta-tol", "nan"], 3),
+      "--delta-tol", "nan"], 1),
     (["synth", "--concentration", "nan", "--out", "t.json"], 1),
     (["synth", "--concentration", "1.0,inf", "--out", "t.json"], 1),
 ], ids=["plan-nan-tol", "plan-inf-tol", "simulate-nan-tol", "synth-nan", "synth-inf"])

@@ -105,7 +105,7 @@ def _corrupt_configs(good):
     return {
         "r-text": {**good, "budget": {**good["budget"], "r": "0.5"}},
         "r-nan": {**good, "budget": {**good["budget"], "r": float("nan")}},
-        "tol-inf": {**good, "budget": {**good["budget"], "delta_tol": float("inf")}},
+        "floor-inf": {**good, "budget": {**good["budget"], "min_tokens_per_layer": float("inf")}},
         "counts-nan": {**good, "token_counts": [float("nan")] * len(good["token_counts"])},
         "negative-len": {**good, "seq_len": -6},
         "zero-len": {**good, "seq_len": 0},
@@ -115,7 +115,14 @@ def _corrupt_configs(good):
         "no-budget": {k: v for k, v in good.items() if k != "budget"},
         "counts-text": {**good, "token_counts": "x"},
         "big-counts": {**good, "token_counts": [10**6] * len(good["token_counts"])},
+        "huge-counts": {**good, "token_counts": [10**20] * len(good["token_counts"])},
         "negative-counts": {**good, "token_counts": [-1] * len(good["token_counts"])},
+        "off-budget": {**good, "token_counts": [1] * len(good["token_counts"])},
+        "below-floor": {**good, "token_counts": [0, sum(good["token_counts"])]},
+        "ratios-range": {**good, "ratios": [5.0, -2.0]},
+        "ratios-number": {**good, "ratios": 0.5},
+        "no-layers": {**good, "ratios": [], "token_counts": []},
+        "source": {**good, "source": "bogus"},
         "top-list": [good],
     }
 
@@ -127,10 +134,11 @@ def _corrupt_manifests(good):
         "command": {**good, "command": "bogus"},
         "params-list": {**good, "params": list(params)},
         "missing-budget": {**good, "params": {k: v for k, v in params.items() if k != "budget"}},
-        "steps-text": {**good, "params": {**params, "max_steps": "x"}},
-        "tol-nan": {**good, "params": {**params, "delta_tol": float("nan")}},
+        "floor-text": {**good, "params": {**params, "min_per_layer": "x"}},
+        "floor-nan": {**good, "params": {**params, "min_per_layer": float("nan")}},
         "bool-sink": {**good, "params": {**params, "sink": True}},
-        "null-steps": {**good, "params": {**params, "max_steps": None}},
+        "null-floor": {**good, "params": {**params, "min_per_layer": None}},
+        "search-settings": {**good, "params": {**params, "delta_tol": 0.025, "max_steps": 32}},
         "traces-text": {**good, "params": {**params, "traces": params["traces"][0]}},
         "extra": {**good, "params": {**params, "bogus": 1}},
         "other-command": {**good, "params": {**params, "command": "synth"}},

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kvbudget import (
     MAX_TRACE_ELEMENTS,
+    AttentionTrace,
     ParseError,
     ToyModel,
     TraceMeta,
@@ -150,6 +151,22 @@ class TestRoundTrip:
         save_trace(trace, a)
         save_trace(trace, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("suffix", [".json", ".npz"])
+    @pytest.mark.parametrize("make", [
+        lambda: AttentionTrace(meta=TraceMeta(layers=np.int64(1), heads=np.int64(1),
+                                              seq_len=np.int64(4), seed=np.int64(3)),
+                               importance=np.ones((1, 4))),
+        lambda: synth_trace(np.int64(1), np.int64(1), np.int64(4), [1.0], seed=np.int64(3)),
+    ], ids=["meta", "synth"])
+    def test_numpy_integer_sizes_are_written_as_integers(self, tmp_path, make, suffix):
+        # TraceMeta used to keep numpy sizes, so json.dumps failed with
+        # "Object of type int64 is not JSON serializable".
+        trace = make()
+        save_trace(trace, tmp_path / f"t{suffix}")
+        back = load_trace(tmp_path / f"t{suffix}")
+        assert back.meta == trace.meta
+        assert all(type(v) is int for v in (back.meta.layers, back.meta.seq_len, back.meta.seed))
 
 
 def single_dump_json(trace):
