@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -57,12 +58,14 @@ class BudgetSpec:
     min_tokens_per_layer: int = 1
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.r <= 1.0:
-            raise BudgetError(f"compression ratio must be in (0, 1], got {self.r}")
+        real = isinstance(self.r, numbers.Real) and not isinstance(self.r, bool)
+        if not (real and 0.0 < self.r <= 1.0):
+            raise BudgetError(f"compression ratio must be a real number in (0, 1], got {self.r!r}")
         if not _is_int(self.min_tokens_per_layer) or self.min_tokens_per_layer < 0:
             raise BudgetError("min_tokens_per_layer must be a nonnegative integer, "
                               f"got {self.min_tokens_per_layer!r}")
-        # A Python int, which the configuration writer takes.
+        # A Python float and int, which the configuration writer takes.
+        object.__setattr__(self, "r", float(self.r))
         object.__setattr__(self, "min_tokens_per_layer", int(self.min_tokens_per_layer))
 
 
@@ -82,29 +85,27 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class PrefixConfiguration:
-    """Per-layer retention ratios and their integer realization.
+    """A plan: the number of prefill positions each layer keeps.
 
     ``token_counts`` always sum to ``round(r * L * N)`` exactly. For an
-    online or pooled-curve prefixkv plan they are the exact global prefix
-    and ``ratios`` are ``token_counts / N``; for baselines and the
-    per-sample-mean estimate ``ratios`` are the clamped real-valued
-    targets the counts were rounded from. ``threshold`` is the search
-    outcome, None for baseline policies.
+    online or pooled-curve prefixkv plan they are the exact global
+    prefix; baselines and the per-sample-mean estimate round real-valued
+    per-layer ratios onto them. ``threshold`` is the search outcome, None
+    for baseline policies; ``samples`` is set for offline estimates only,
+    and ``sink_count`` for the local policy only.
     """
 
     budget: BudgetSpec
     seq_len: int
-    ratios: np.ndarray
     token_counts: np.ndarray
     policy: str = "prefixkv"
-    source: str = "online"
     threshold: SearchResult | None = None
     samples: int | None = None
     sink_count: int | None = None
 
     @property
     def layers(self) -> int:
-        return len(self.ratios)
+        return len(self.token_counts)
 
 
 def ratio_at_threshold(seq: PrioritySequence, layer: int, p: float) -> float:
@@ -266,7 +267,6 @@ def _realize(
     seq_len: int,
     *,
     policy: str,
-    source: str,
     threshold: SearchResult | None,
     samples: int | None = None,
     sink_count: int | None = None,
@@ -275,14 +275,11 @@ def _realize(
     N = int(seq_len)
     total = _budget_tokens(budget, len(quotas), N)
     floor = budget.min_tokens_per_layer
-    ratios = np.clip(quotas, floor / N, 1.0)
     return PrefixConfiguration(
         budget=budget,
         seq_len=N,
-        ratios=ratios,
-        token_counts=_apportion(ratios * N, total, floor, N),
+        token_counts=_apportion(np.clip(quotas, floor / N, 1.0) * N, total, floor, N),
         policy=policy,
-        source=source,
         threshold=threshold,
         samples=samples,
         sink_count=sink_count,
@@ -320,19 +317,17 @@ def finalize_config(
     seq: PrioritySequence, result: SearchResult, budget: BudgetSpec
 ) -> PrefixConfiguration:
     """Turn a search result into an exact-budget configuration."""
-    return _finalize(seq.cumulative, result, budget, "online", None)
+    return _finalize(seq.cumulative, result, budget, None)
 
 
 def _finalize(cumulative: np.ndarray, result: SearchResult, budget: BudgetSpec,
-              source: str, samples: int | None) -> PrefixConfiguration:
+              samples: int | None) -> PrefixConfiguration:
     """The exact global prefix of an (L, N) cumulative matrix, with its search result."""
     L, N = cumulative.shape
     counts = _global_prefix(cumulative, result.p, _budget_tokens(budget, L, N),
                             budget.min_tokens_per_layer)
-    return PrefixConfiguration(
-        budget=budget, seq_len=N, ratios=counts / N, token_counts=counts,
-        policy="prefixkv", source=source, threshold=result, samples=samples,
-    )
+    return PrefixConfiguration(budget=budget, seq_len=N, token_counts=counts,
+                               threshold=result, samples=samples)
 
 
 def plan_online(seq: PrioritySequence, budget: BudgetSpec) -> PrefixConfiguration:
@@ -377,20 +372,18 @@ def estimate_offline(
         for seq in sample_seqs:
             pooled += _resample_cumulative(seq.cumulative, n_star)
         pooled /= count
-        return _finalize(pooled, _search(pooled, budget), budget, "offline", count)
+        return _finalize(pooled, _search(pooled, budget), budget, count)
 
     configs = [plan_online(seq, budget) for seq in sample_seqs]
-    mean_ratios = np.mean([cfg.ratios for cfg in configs], axis=0)
+    mean_ratios = np.mean([cfg.token_counts / cfg.seq_len for cfg in configs], axis=0)
     summary = SearchResult(
         p=float(np.mean([cfg.threshold.p for cfg in configs])),
         steps=max(cfg.threshold.steps for cfg in configs),
         delta_final=float(np.mean([cfg.threshold.delta_final for cfg in configs])),
         converged=all(cfg.threshold.converged for cfg in configs),
     )
-    return _realize(
-        mean_ratios, budget, n_star, policy="prefixkv", source="offline",
-        threshold=summary, samples=count,
-    )
+    return _realize(mean_ratios, budget, n_star, policy="prefixkv", threshold=summary,
+                    samples=count)
 
 
 def baseline_config(
@@ -424,19 +417,15 @@ def baseline_config(
         raw = np.full(L, budget.r)
     else:
         raise UsageError(f"unknown baseline kind {kind!r}")
-    return _realize(
-        raw, budget, meta.seq_len, policy=kind, source="baseline",
-        threshold=None, sink_count=int(sink_count) if kind == "local" else None,
-    )
+    return _realize(raw, budget, meta.seq_len, policy=kind, threshold=None,
+                    sink_count=int(sink_count) if kind == "local" else None)
 
 
 def config_to_dict(config: PrefixConfiguration) -> dict:
     doc: dict = {"budget": asdict(config.budget), "seq_len": config.seq_len}
     if config.threshold is not None:
         doc.update(asdict(config.threshold))
-    doc["ratios"] = [float(v) for v in config.ratios]
     doc["token_counts"] = [int(v) for v in config.token_counts]
-    doc["source"] = config.source
     if config.samples is not None:
         doc["samples"] = config.samples
     doc["policy"] = config.policy
@@ -444,6 +433,9 @@ def config_to_dict(config: PrefixConfiguration) -> dict:
         doc["sink_count"] = config.sink_count
     return doc
 
+
+# The search outcome's fields, which a prefixkv configuration holds at its top level.
+_THRESHOLD_FIELDS = ("p", "steps", "delta_final", "converged")
 
 # Configuration fields that hold counts; every other number is a finite real.
 _COUNT_FIELDS = ("min_tokens_per_layer", "seq_len", "steps", "samples", "sink_count",
@@ -461,9 +453,9 @@ def _check_numbers(doc: dict) -> None:
               for k in ("r", "min_tokens_per_layer") if k in budget]
     fields += [(k, k, doc[k]) for k in ("seq_len", "p", "steps", "delta_final", "samples",
                                         "sink_count") if doc.get(k) is not None]
-    for k in ("ratios", "token_counts"):
-        if isinstance(doc.get(k), list):
-            fields += [(f"{k}[{i}]", k, v) for i, v in enumerate(doc[k])]
+    if isinstance(doc.get("token_counts"), list):
+        fields += [(f"token_counts[{i}]", "token_counts", v)
+                   for i, v in enumerate(doc["token_counts"])]
     for name, key, value in fields:
         count = key in _COUNT_FIELDS
         if isinstance(value, bool) or not isinstance(value, int if count else (int, float)):
@@ -477,26 +469,20 @@ def config_from_dict(doc: dict) -> PrefixConfiguration:
     _check_numbers(doc)
     try:
         b = doc["budget"]
-        # Older budget blocks also hold delta_tol and max_steps; they never
-        # changed a count, so they are ignored.
+        # Older documents also hold ratios and source, and older budget
+        # blocks delta_tol and max_steps; the counts and the policy say
+        # all of that, so they are ignored.
         budget = BudgetSpec(r=b["r"], min_tokens_per_layer=b.get(
             "min_tokens_per_layer", BudgetSpec.min_tokens_per_layer))
-        threshold = None
-        if "p" in doc:
-            threshold = SearchResult(
-                p=doc["p"],
-                steps=doc["steps"],
-                delta_final=doc.get("delta_final", 0.0),
-                converged=doc["converged"],
-            )
+        # Any threshold field brings the whole search outcome; a missing one
+        # is a missing key.
+        searched = any(k in doc for k in _THRESHOLD_FIELDS)
         config = PrefixConfiguration(
             budget=budget,
             seq_len=doc["seq_len"],
-            ratios=np.asarray(doc["ratios"], dtype=float),
             token_counts=np.asarray(doc["token_counts"], dtype=np.int64),
             policy=doc["policy"],
-            source=doc["source"],
-            threshold=threshold,
+            threshold=SearchResult(*(doc[k] for k in _THRESHOLD_FIELDS)) if searched else None,
             samples=doc.get("samples"),
             sink_count=doc.get("sink_count"),
         )
@@ -507,25 +493,45 @@ def config_from_dict(doc: dict) -> PrefixConfiguration:
 
 
 def _check_invariants(config: PrefixConfiguration) -> None:
-    """Refuse a configuration that breaks what every plan guarantees."""
-    if config.policy not in POLICIES:
-        raise ParseError(f"unknown policy {config.policy!r}")
-    if config.source not in ("online", "offline", "baseline"):
-        raise ParseError(f"unknown source {config.source!r}")
-    N, ratios, counts = config.seq_len, config.ratios, config.token_counts
+    """Refuse a configuration that breaks what every plan guarantees.
+
+    Each optional field belongs to the plans that have it: ``sink_count``
+    to every local plan, the threshold fields to every prefixkv plan, and
+    ``samples`` to offline prefixkv plans.
+    """
+    policy, threshold, samples, sinks = (config.policy, config.threshold, config.samples,
+                                         config.sink_count)
+    if policy not in POLICIES:
+        raise ParseError(f"unknown policy {policy!r}")
+    if (sinks is None) == (policy == "local"):
+        raise ParseError(f"sink_count belongs to every local plan and no other; this {policy} "
+                         f"plan {'lacks' if sinks is None else 'has'} one")
+    if (threshold is None) == (policy == "prefixkv"):
+        raise ParseError(f"the threshold fields {list(_THRESHOLD_FIELDS)} belong to every "
+                         f"prefixkv plan and no other; this {policy} plan "
+                         f"{'lacks' if threshold is None else 'has'} them")
+    if samples is not None and policy != "prefixkv":
+        raise ParseError(f"samples belong to offline prefixkv plans only, not to a {policy} plan")
+    if threshold is not None and not isinstance(threshold.converged, bool):
+        raise ParseError(f"field 'converged' must be true or false, got {threshold.converged!r}")
+    p, steps = (threshold.p, threshold.steps) if threshold else (None, None)
+    for name, value, low, high in (("p", p, 0.0, 1.0), ("steps", steps, 0, math.inf),
+                                   ("samples", samples, 1, math.inf),
+                                   ("sink_count", sinks, 0, math.inf)):
+        if value is not None and not low <= value <= high:
+            raise ParseError(f"field '{name}' must lie in [{low}, {high}], got {value}")
+    N, counts = config.seq_len, config.token_counts
     if N < 1:
         raise ParseError(f"seq_len must be at least 1, got {N}")
-    if ratios.ndim != 1 or ratios.shape != counts.shape or not len(ratios):
-        raise ParseError("a configuration needs at least one layer and, for every layer, "
-                         "one ratio and one token count")
+    if counts.ndim != 1 or not len(counts):
+        raise ParseError("a configuration needs a list of token counts, one per layer, "
+                         "for at least one layer")
     floor = config.budget.min_tokens_per_layer
     if counts.min() < floor or counts.max() > N:
         raise ParseError(f"token_counts must lie in [{floor}, {N}], got {counts.tolist()}")
     total = _budget_tokens(config.budget, len(counts), N)
     if counts.sum() != total:
         raise ParseError(f"token_counts sum to {counts.sum()}, not the budget's {total} tokens")
-    if ratios.min() < 0.0 or ratios.max() > 1.0:
-        raise ParseError(f"ratios must lie in [0, 1], got {ratios.tolist()}")
 
 
 def save_config(config: PrefixConfiguration, path: str | Path) -> None:

@@ -196,8 +196,9 @@ class CacheState:
         self._merged[layer] = {}
 
     def _capacities(self) -> list[int]:
-        floor = self.config.budget.min_tokens_per_layer
-        return [max(floor, int(ratio * self.current_len)) for ratio in self.config.ratios.tolist()]
+        """Every layer's prefill count scaled to current_len, floored, in integers."""
+        floor, N, t = self.config.budget.min_tokens_per_layer, self.config.seq_len, self.current_len
+        return [max(floor, count * t // N) for count in self.config.token_counts.tolist()]
 
     def capacity(self, layer: int) -> int:
         """Current token allowance of a layer, re-derived from current_len."""

@@ -169,8 +169,8 @@ def test_05_offline_robustness():
     worst_mad = worst_std = 0.0
     for r in BUDGET_GRID:
         budget = BudgetSpec(r=r)
-        online = np.array([plan_online(seq, budget).ratios for seq in seqs])
-        offline = estimate_offline(seqs, budget).ratios
+        online = np.array([plan_online(seq, budget).token_counts for seq in seqs]) / N
+        offline = estimate_offline(seqs, budget).token_counts / N
         worst_mad = max(worst_mad, float(np.abs(online - offline).mean(axis=0).max()))
         worst_std = max(worst_std, float(online.std(axis=0).max()))
     report(
@@ -223,14 +223,20 @@ def test_07_simulation_safety():
                                      sink_count=2 if policy == "local" else None)
         state = prefill_compress(prefix, config, protect_distance=protect,
                                  merge_policy=merge_mode)
-        replay_steps(trace, state, steps)
         floor = config.budget.min_tokens_per_layer
-        for rec in state.step_log:
-            t = n0 + rec["step"]
-            newest = t - 1
-            for l, size in enumerate(rec["layer_sizes"]):
-                if size > max(floor, int(config.ratios[l] * t) + 1):
+        sinks = 2 if policy == "local" else 0
+        for newest in range(n0, n0 + steps):
+            replay_steps(trace, state, 1)
+            for l in range(L):
+                # A layer may stay over capacity only while every entry is
+                # protected: within the window of the newest, or a sink.
+                live = state.live_positions(l)
+                capacity = max(floor, int(config.token_counts[l]) * (newest + 1) // n0)
+                if len(live) > capacity and any(newest - p >= protect and p >= sinks
+                                                for p in live):
                     violations += 1
+        for rec in state.step_log:
+            newest = n0 + rec["step"] - 1
             for ev in rec["evicted"]:
                 if newest - ev["pos"] < protect:
                     violations += 1

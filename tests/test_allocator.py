@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from kvbudget import (
     BudgetError,
     BudgetSpec,
+    CacheState,
     ParseError,
     SearchResult,
     baseline_config,
@@ -134,6 +135,25 @@ def test_budget_holds_only_what_changes_a_plan():
         BudgetSpec(r=0.5, delta_tol=0.0)
 
 
+def test_budget_ratio_is_stored_as_a_python_float(tmp_path, two_layer_seq):
+    # A numpy float used to fail in json.dumps: "Object of type float32 is
+    # not JSON serializable".
+    config = plan_online(two_layer_seq, BudgetSpec(r=np.float32(0.5)))
+    assert type(config.budget.r) is float
+    save_config(config, tmp_path / "c.json")
+    back = load_config(tmp_path / "c.json")
+    assert back.budget == config.budget
+    assert back.token_counts.tolist() == config.token_counts.tolist()
+
+
+@pytest.mark.parametrize("r", [True, np.bool_(True), "0.5", None, float("nan")])
+def test_budget_ratio_must_be_a_real_number(r):
+    # True used to plan as r=1.0 and be written as `true`, which
+    # load_config then refused.
+    with pytest.raises(BudgetError, match="compression ratio must be a real number"):
+        BudgetSpec(r=r)
+
+
 @pytest.mark.parametrize("delta_tol", [float("nan"), float("inf"), -0.1])
 def test_budget_rejects_non_finite_or_negative_tolerance(two_layer_seq, delta_tol):
     # The tolerance is a binary_search keyword, so a bad one is a usage error.
@@ -196,7 +216,7 @@ class TestBinarySearch:
         assert result.delta_final == 0.0
         assert result.converged
         config = finalize_config(two_layer_seq, result, BudgetSpec(r=0.5))
-        assert config.ratios.tolist() == [0.25, 0.75]
+        assert config.token_counts.tolist() == [1, 3]
 
     def test_full_budget_boundary(self, two_layer_seq):
         budget = BudgetSpec(r=1.0)
@@ -205,7 +225,6 @@ class TestBinarySearch:
         assert result.delta_final == 0.0
         assert result.converged
         config = finalize_config(two_layer_seq, result, budget)
-        assert config.ratios.tolist() == [1.0, 1.0]
         assert config.token_counts.tolist() == [4, 4]
 
     def test_steps_decrease_with_tolerance(self):
@@ -267,7 +286,7 @@ class TestFinalize:
         seq = seq_from_importance([[1.0] * 8, [1.0] * 8])
         budget = BudgetSpec(r=0.5)
         config = plan_online(seq, budget)
-        assert config.ratios.tolist() == [0.5, 0.5]
+        assert config.token_counts.tolist() == [4, 4]
 
     def test_three_layer_scaling_example(self):
         # Quotas already on the 1.5 budget are kept as given and round to (4, 5, 6).
@@ -275,16 +294,15 @@ class TestFinalize:
 
         budget = BudgetSpec(r=0.5)
         quotas = np.array([0.42, 0.53, 0.61]) * (1.5 / 1.56)
-        config = _realize(quotas, budget, 10, policy="uniform", source="baseline", threshold=None)
-        assert config.ratios.tolist() == quotas.tolist()
-        assert np.allclose(config.ratios, [0.404, 0.510, 0.587], atol=5e-4)
+        config = _realize(quotas, budget, 10, policy="uniform", threshold=None)
+        assert np.allclose(quotas, [0.404, 0.510, 0.587], atol=5e-4)
         assert config.token_counts.tolist() == [4, 5, 6]
         assert config.token_counts.sum() == 15
 
         # Exhaustive rounding oracle: the returned counts minimize the total
         # deviation from the quotas subject to the exact budget.
         def objective(counts):
-            return sum(abs(c / 10 - q) for c, q in zip(counts, config.ratios))
+            return sum(abs(c / 10 - q) for c, q in zip(counts, quotas))
 
         best = min(
             objective(c)
@@ -381,7 +399,6 @@ class TestFinalize:
                 config = finalize_config(seq, binary_search(seq, budget, delta_tol=delta_tol),
                                          budget)
                 assert config.token_counts.tolist() == oracle.tolist()
-                assert config.ratios.tolist() == (oracle / N).tolist()
             assert np.all(oracle >= previous)
             previous = oracle
 
@@ -467,8 +484,6 @@ class TestOffline:
         offline = estimate_offline(seqs, budget)
         online = plan_online(seqs[0], budget)
         assert offline.token_counts.tolist() == online.token_counts.tolist()
-        assert np.allclose(offline.ratios, online.ratios, atol=1e-12)
-        assert offline.source == "offline"
         assert offline.samples == 3
 
     def test_methods_agree_on_identical_samples(self):
@@ -477,7 +492,6 @@ class TestOffline:
         mean_cfg = estimate_offline(seqs, budget, method="per-sample-mean")
         pooled_cfg = estimate_offline(seqs, budget, method="pooled-curve")
         assert mean_cfg.token_counts.tolist() == pooled_cfg.token_counts.tolist()
-        assert np.allclose(mean_cfg.ratios, pooled_cfg.ratios, atol=1e-9)
 
     def test_single_vs_many_samples_stay_close(self):
         # Tolerance adopted from the worst observed per-layer deviation on
@@ -485,7 +499,7 @@ class TestOffline:
         budget = BudgetSpec(r=0.5)
         one = estimate_offline(self._samples(1, N=128), budget)
         ten = estimate_offline(self._samples(10, N=128), budget)
-        assert np.abs(one.ratios - ten.ratios).mean() <= 0.03
+        assert np.abs(one.token_counts - ten.token_counts).mean() / 128 <= 0.03
 
     def test_pooled_curve_resamples_mixed_lengths(self):
         seqs = self._samples(2, N=16) + self._samples(2, seed0=6000, N=32)
@@ -514,30 +528,29 @@ class TestBaselines:
     def test_pyramid_ramp(self):
         meta = TraceMeta(layers=3, heads=1, seq_len=8)
         config = baseline_config("pyramid", BudgetSpec(r=0.5), meta)
-        assert config.ratios.tolist() == [0.75, 0.5, 0.25]
+        assert config.token_counts.tolist() == [6, 4, 2]
 
     def test_pyramid_amplitude_clamps_to_budget(self):
         meta = TraceMeta(layers=2, heads=1, seq_len=20)
         config = baseline_config("pyramid", BudgetSpec(r=0.9), meta)
-        assert np.allclose(config.ratios, [0.95, 0.85])
+        assert config.token_counts.tolist() == [19, 17]
 
     def test_pyramid_single_layer_degenerates_to_uniform(self):
         meta = TraceMeta(layers=1, heads=1, seq_len=10)
         config = baseline_config("pyramid", BudgetSpec(r=0.3), meta)
-        assert config.ratios.tolist() == [0.3]
+        assert config.token_counts.tolist() == [3]
 
     def test_uniform(self):
         meta = TraceMeta(layers=5, heads=1, seq_len=10)
         config = baseline_config("uniform", BudgetSpec(r=0.3), meta)
-        assert config.ratios.tolist() == [0.3] * 5
-        assert config.token_counts.sum() == 15
+        assert config.token_counts.tolist() == [3] * 5
 
     def test_local_records_sink_count(self):
         meta = TraceMeta(layers=2, heads=1, seq_len=10)
         config = baseline_config("local", BudgetSpec(r=0.5), meta, sink_count=2)
         assert config.policy == "local"
         assert config.sink_count == 2
-        assert config.ratios.tolist() == [0.5, 0.5]
+        assert config.token_counts.tolist() == [5, 5]
 
     @pytest.mark.parametrize("sink", [True, 2.0])
     def test_local_sink_count_must_be_an_integer(self, sink):
@@ -567,7 +580,6 @@ def test_config_round_trip(tmp_path, two_layer_seq):
     save_config(config, path)
     back = load_config(path)
     assert back.token_counts.tolist() == config.token_counts.tolist()
-    assert back.ratios.tolist() == config.ratios.tolist()
     assert back.budget == config.budget
     assert back.threshold == config.threshold
     assert back.policy == config.policy
@@ -586,7 +598,8 @@ def test_every_plan_loads_again(L, N, extra, r, floor, seed):
     # Every policy and both offline methods, on tie-heavy importance and
     # samples of mixed lengths (N is the shortest): what a plan writes
     # passes every check the configuration reader makes and reads back as
-    # the same plan.
+    # the same plan, whose decode capacity starts at its counts and grows
+    # with the sequence.
     assume(round(r * L * N) >= L * floor)
     rng = np.random.default_rng(seed)
     seqs = []
@@ -603,11 +616,20 @@ def test_every_plan_loads_again(L, N, extra, r, floor, seed):
     for config in configs:
         back = config_from_dict(json.loads(json.dumps(config_to_dict(config))))
         assert back.token_counts.tolist() == config.token_counts.tolist()
-        assert back.ratios.tolist() == config.ratios.tolist()
         assert (back.budget, back.seq_len, back.threshold) == (
             config.budget, config.seq_len, config.threshold)
-        assert (back.policy, back.source, back.samples, back.sink_count) == (
-            config.policy, config.source, config.samples, config.sink_count)
+        assert (back.policy, back.samples, back.sink_count) == (
+            config.policy, config.samples, config.sink_count)
+        state, n = CacheState(back), back.seq_len
+        previous = [0] * L
+        for t in range(n, 2 * n + 1):
+            state.current_len = t
+            capacities = [state.capacity(l) for l in range(L)]
+            assert capacities == [max(floor, c * t // n) for c in back.token_counts.tolist()]
+            assert all(c >= p for c, p in zip(capacities, previous))
+            if t == n:
+                assert capacities == back.token_counts.tolist()
+            previous = capacities
 
 
 @pytest.mark.parametrize("make", [
@@ -624,8 +646,8 @@ def test_numpy_integer_settings_are_written_as_integers(tmp_path, two_layer_seq,
 
 
 @pytest.mark.parametrize("field, value", [
-    (("ratios", 0), float("nan")),
-    (("ratios", 1), float("inf")),
+    (("delta_final",), float("nan")),
+    (("delta_final",), float("inf")),
     (("budget", "r"), float("nan")),
     (("budget", "r"), float("inf")),
     (("p",), float("nan")),
@@ -636,7 +658,7 @@ def test_numpy_integer_settings_are_written_as_integers(tmp_path, two_layer_seq,
     (("steps",), True),
     (("seq_len",), "64"),
     (("token_counts", 0), 2.5),
-    (("ratios", 0), "0.5"),
+    (("p",), "0.5"),
 ])
 def test_config_rejects_non_finite_and_mistyped_numbers(tmp_path, two_layer_seq, field, value):
     path = tmp_path / "config.json"

@@ -36,10 +36,8 @@ def importance_config(counts, n, r, policy="prefixkv", sink=None):
     return PrefixConfiguration(
         budget=BudgetSpec(r=r),
         seq_len=n,
-        ratios=counts / n,
         token_counts=counts,
         policy=policy,
-        source="baseline",
         sink_count=sink,
     )
 
@@ -114,7 +112,7 @@ class TestPrefill:
 
 def make_state(importances, positions, current_len, capacity_n, protect=2,
                policy="prefixkv", merge_policy="none", sink=None, keys=None):
-    """State with one layer and hand-placed entries; ratio fixes capacity.
+    """State with one layer and hand-placed entries; capacity_n fixes capacity.
 
     ``keys``, when given, serve as both key and value vectors.
     """
@@ -214,6 +212,15 @@ class TestDecodeStep:
             self._step(state)
             t = state.current_len
             assert len(state.layer_caches[0]) <= max(1, int(0.5 * t)) + 1
+
+    def test_capacity_scales_the_count_in_integers(self):
+        # Scaled through a float ratio, int(15 / 22 * 44) is 29.
+        state = CacheState(importance_config([15], 22, 0.5))
+        capacities = []
+        for t in (22, 23, 44):
+            state.current_len = t
+            capacities.append(state.capacity(0))
+        assert capacities == [15, 15, 30]
 
     @pytest.mark.parametrize("bad", ["row sum", "shape", "negative", "non-finite"])
     def test_rejected_step_leaves_state_untouched(self, bad):
@@ -483,7 +490,7 @@ class TestReplay:
                 t = 40 + rec["step"]
                 newest = t - 1
                 for l, size in enumerate(rec["layer_sizes"]):
-                    assert size <= max(1, int(config.ratios[l] * t)) + 1
+                    assert size <= max(1, int(config.token_counts[l]) * t // 40) + 1
                 for ev in rec["evicted"]:
                     evicted_at = 40 + rec["step"] - 1
                     assert evicted_at - ev["pos"] >= 4

@@ -129,7 +129,7 @@ class TestPlan:
         assert run(["plan", "--budget", "0.5", "--out", "c.json", "t.json"], tmp_path) == 0
         config = load_config(tmp_path / "c.json")
         assert config.token_counts.sum() == round(0.5 * 2 * 40)
-        assert config.source == "online"
+        assert config.samples is None
         assert config.policy == "prefixkv"
 
     def test_counts_do_not_depend_on_the_search_tolerance(self, tmp_path):
@@ -204,7 +204,6 @@ class TestPlan:
         assert run(["plan", "--offline", "--budget", "0.5", "--out", "off.json",
                     "s0.json", "s1.json", "s2.json"], tmp_path) == 0
         config = load_config(tmp_path / "off.json")
-        assert config.source == "offline"
         assert config.samples == 3
 
     def test_multiple_traces_without_offline_is_usage_error(self, tmp_path):
@@ -242,7 +241,7 @@ class TestSimulate:
         for rec in records:
             t = 32 + rec["step"]
             for l, size in enumerate(rec["layer_sizes"]):
-                assert size <= max(1, int(config.ratios[l] * t)) + 1
+                assert size <= max(1, int(config.token_counts[l]) * t // 32) + 1
         info = read_csv(tmp_path / "retained_info.csv")
         assert {r["step"] for r in info} == {str(i) for i in range(9)}
 
@@ -291,34 +290,64 @@ class TestSimulate:
                     "--toy-layers", "4", "--toy-heads", "2", "--toy-dim", "32",
                     "--prompt-len", "24", "--steps", steps], tmp_path) == 2
 
+    NO_THRESHOLD = dict.fromkeys(["p", "steps", "delta_final", "converged"])
+
     @pytest.mark.parametrize("patch, message", [
         ({"token_counts": [3, 3]}, "token_counts sum to 6, not the budget's 20 tokens"),
         ({"token_counts": [0, 40]}, "token_counts must lie in [1, 40], got [0, 40]"),
         ({"token_counts": [-1, 21]}, "token_counts must lie in [1, 40], got [-1, 21]"),
         ({"token_counts": [10**20, 1]}, "malformed configuration document"),
-        ({"ratios": [5.0, -2.0]}, "ratios must lie in [0, 1], got [5.0, -2.0]"),
-        ({"source": "bogus"}, "unknown source 'bogus'"),
         ({"seq_len": 0}, "seq_len must be at least 1, got 0"),
-        ({"ratios": [], "token_counts": []}, "at least one layer"),
-        ({"ratios": [0.5]}, "one ratio and one token count"),
-        ({"ratios": 0.5}, "one ratio and one token count"),
-    ], ids=["off-budget", "below-floor", "negative", "huge", "ratios", "source", "zero-len",
-            "no-layers", "short-ratios", "ratios-number"])
+        ({"token_counts": []}, "at least one layer"),
+        ({"token_counts": 20}, "a list of token counts"),
+        ({"policy": "local"}, "this local plan lacks one"),
+        ({"sink_count": 2}, "this prefixkv plan has one"),
+        ({"policy": "local", "sink_count": -1, **NO_THRESHOLD},
+         "field 'sink_count' must lie in [0, inf], got -1"),
+        ({"policy": "uniform"}, "this uniform plan has them"),
+        ({"converged": None}, "malformed configuration document: 'converged'"),
+        ({"converged": "no"}, "field 'converged' must be true or false, got 'no'"),
+        ({"p": 7.0}, "field 'p' must lie in [0.0, 1.0], got 7.0"),
+        ({"steps": -1}, "field 'steps' must lie in [0, inf], got -1"),
+        ({"policy": "pyramid", "samples": 2, **NO_THRESHOLD},
+         "samples belong to offline prefixkv plans only, not to a pyramid plan"),
+        ({"samples": 0}, "field 'samples' must lie in [1, inf], got 0"),
+    ], ids=["off-budget", "below-floor", "negative", "huge", "zero-len", "no-layers",
+            "counts-number", "local-without-sink", "sink-on-prefixkv", "negative-sink",
+            "threshold-on-baseline", "partial-threshold", "converged-text", "p-range",
+            "negative-steps", "samples-on-baseline", "zero-samples"])
     def test_config_breaking_an_invariant_exits_2(self, tmp_path, capsys, dirichlet_trace,
                                                   patch, message):
-        # Counts off the budget or below the floor, ratios outside [0, 1]
-        # and an unknown source used to simulate and exit 0; a count too
-        # large for int64 ended in an OverflowError traceback, and a number
-        # for ratios in a TypeError one.
+        # Counts off the budget or below the floor used to simulate and
+        # exit 0, as did a local plan without sink_count, threshold fields
+        # out of range and fields on plans they do not belong to; a count
+        # too large for int64 ended in an OverflowError traceback. A None
+        # in the patch removes that field.
         assert run(["plan", "--budget", "0.25", "--out", "c.json", "t.json"], tmp_path) == 0
         doc = json.loads((tmp_path / "c.json").read_text())
-        (tmp_path / "bad.json").write_text(json.dumps({**doc, **patch}))
+        bad = {k: v for k, v in {**doc, **patch}.items() if v is not None}
+        (tmp_path / "bad.json").write_text(json.dumps(bad))
         assert run(["simulate", "--config", "bad.json", "--trace", "t.json", "--steps", "0"],
                    tmp_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert not (tmp_path / "sim.jsonl").exists()
         assert not (tmp_path / "retained_info.csv").exists()
+
+
+def test_capacity_comes_from_the_counts_alone(tmp_path):
+    # A document whose ratios contradict its counts: prefill kept 36
+    # positions in layer 0, and the first step cut it to floor(0.1 * 41) = 4.
+    assert run(["synth", "--layers", "2", "--seq", "41", "--seed", "3", "--out", "t.json"],
+               tmp_path) == 0
+    (tmp_path / "c.json").write_text(json.dumps({
+        "budget": {"r": 0.5, "min_tokens_per_layer": 1}, "seq_len": 40, "p": 0.5, "steps": 3,
+        "delta_final": 0.0, "converged": True, "ratios": [0.1, 0.9], "token_counts": [36, 4],
+        "source": "online", "policy": "prefixkv"}))
+    assert run(["simulate", "--config", "c.json", "--trace", "t.json", "--steps", "1"],
+               tmp_path) == 0
+    records = [json.loads(line) for line in (tmp_path / "sim.jsonl").read_text().splitlines()]
+    assert [record["layer_sizes"] for record in records] == [[36, 4]]
 
 
 def _digest(path) -> str:
@@ -328,11 +357,12 @@ def _digest(path) -> str:
 class TestGoldenOutputs:
     """Every kind of CLI output pinned byte for byte.
 
-    The prefixkv ``simulate``, trace ``compare`` and disturbance digests
-    were recorded when prefixkv counts became the exact global prefix with
-    ``ratios = counts / N``; any drift in eviction order, merge targets or
-    retained shares changes them. The ``plan`` digests were recorded when
-    the budget block became ``{r, min_tokens_per_layer}``. The others were
+    The prefixkv ``simulate`` and disturbance digests were recorded when
+    prefixkv counts became the exact global prefix; any drift in eviction
+    order, merge targets or retained shares changes them. The ``plan`` and
+    trace ``compare`` digests were recorded when a configuration became its
+    token counts and decode capacity became ``max(floor, count * t // N)``,
+    which moves the baseline cells of ``compare``. The others were
     recorded before the ranking, the CSV writer and the replay path each
     got a single implementation.
     """
@@ -349,20 +379,20 @@ class TestGoldenOutputs:
     }
     PLAN = {
         ("--policy", "prefixkv"):
-            "8150db3a2bcc9426a4b86b88d68e1f1c1da4c135d065bc0a5c1756b9f1db6726",
+            "9b9984857515964835f600ad9e2221ff157406fb63ccc4f75f7bfaa41e40b13a",
         ("--policy", "uniform"):
-            "1ef2c18cb618dfc9e4ff940c73d164890c716db6f7a6ac4ae231bb8aceb2570c",
+            "d1953d5073ab9f81fe9cb3b500e3fc6cc501ae4a637504d586c6a77a23af320b",
         ("--policy", "pyramid"):
-            "c5a89b7bbac6394ec0d44832dabbb9f2c0ac964033f8a75de35102d5b03fdb43",
+            "bd461ad6d95a0beb84e3efac696f1c353122e0d2bcfe6c6544de4aaf27d64e61",
         ("--policy", "local"):
-            "7f966a4f2985ecc1143825c52ae921acf9bf4828556745f5e9b9e362572ccc03",
+            "67d8a5fe8cc0969fa360f4cc4387436484b89058e4ab936818b8aea669ba2b78",
         ("--offline", "--method=per-sample-mean"):
-            "bd341182668e2a82397f609e6f45e72aa44387bc6dc58267472eddfd5247f834",
+            "65b856ef17ddbbd8415aa68815359eb1aa6052add3952f936ff4abb4b2a249ea",
         ("--offline", "--method=pooled-curve"):
-            "142adcd92b2f5614371d1f5d69ffd3b8b9bbdec3ea9caebb6997e5e740251034",
+            "a056b5b8a646a3f1727df84ec9159e006928cf2741d50e28d2c501651da24223",
     }
     COMPARE = {
-        "trace": "c8bb83562c59c65b20412481349e75265f35437dc84e62edab0e98dc7f8b22d8",
+        "trace": "b8f82d042ba92acad40f86805606bab72d4f49558982f9dbe6c570d8fd0ae38b",
         "toy": "b47257b64ccc12967428f63b30cf3c92f9523361c901a61025b22e1be3e9edb2",
     }
     DISTURBANCE = "99b8ef1ffa9097867489cf67f30bc342a3000d9b2586636e88b44cd967b8a3f8"

@@ -102,6 +102,8 @@ def _corrupt_traces(good):
 
 
 def _corrupt_configs(good):
+    unsearched = {k: v for k, v in good.items()
+                  if k not in ("p", "steps", "delta_final", "converged")}
     return {
         "r-text": {**good, "budget": {**good["budget"], "r": "0.5"}},
         "r-nan": {**good, "budget": {**good["budget"], "r": float("nan")}},
@@ -109,7 +111,7 @@ def _corrupt_configs(good):
         "counts-nan": {**good, "token_counts": [float("nan")] * len(good["token_counts"])},
         "negative-len": {**good, "seq_len": -6},
         "zero-len": {**good, "seq_len": 0},
-        "short-ratios": {**good, "ratios": good["ratios"][:1]},
+        "short-counts": {**good, "token_counts": good["token_counts"][:1]},
         "policy": {**good, "policy": "foo"},
         "budget-list": {**good, "budget": [0.5]},
         "no-budget": {k: v for k, v in good.items() if k != "budget"},
@@ -119,10 +121,18 @@ def _corrupt_configs(good):
         "negative-counts": {**good, "token_counts": [-1] * len(good["token_counts"])},
         "off-budget": {**good, "token_counts": [1] * len(good["token_counts"])},
         "below-floor": {**good, "token_counts": [0, sum(good["token_counts"])]},
-        "ratios-range": {**good, "ratios": [5.0, -2.0]},
-        "ratios-number": {**good, "ratios": 0.5},
-        "no-layers": {**good, "ratios": [], "token_counts": []},
-        "source": {**good, "source": "bogus"},
+        "counts-number": {**good, "token_counts": 5},
+        "no-layers": {**good, "token_counts": []},
+        "local-without-sink": {**good, "policy": "local"},
+        "sink-on-prefixkv": {**good, "sink_count": 2},
+        "negative-sink": {**unsearched, "policy": "local", "sink_count": -1},
+        "threshold-on-baseline": {**good, "policy": "uniform"},
+        "partial-threshold": {k: v for k, v in good.items() if k != "converged"},
+        "converged-text": {**good, "converged": "no"},
+        "p-range": {**good, "p": 7.0},
+        "negative-steps": {**good, "steps": -1},
+        "samples-on-baseline": {**unsearched, "policy": "pyramid", "samples": 2},
+        "zero-samples": {**good, "samples": 0},
         "top-list": [good],
     }
 

@@ -126,7 +126,8 @@ class ReferenceState:
 
     def capacity(self, layer):
         floor = self.config.budget.min_tokens_per_layer
-        return max(floor, int(self.config.ratios[layer] * self.current_len))
+        return max(floor, int(self.config.token_counts[layer]) * self.current_len
+                   // self.config.seq_len)
 
     def _select_evictee(self, cache):
         live = cache.pos[:cache.n]

@@ -3,12 +3,13 @@
 ``perfbench/tracing.py`` replaces the functions it lists in ``TRACED``
 by name and reads the search results they return, the workloads call
 library functions with keyword arguments, and they read a few
-``CacheState`` members. A rename or a signature change in the library
+``CacheState`` and configuration members. A rename or a signature change in the library
 would break benchmark runs without failing any other test, so this
 checks every name, every call and every field from here.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -16,8 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from kvbudget import (BudgetSpec, binary_search, compute_importance, estimate_offline,
-                      full_cache_state, priority_sequence, synth_trace)
+from kvbudget import (BudgetSpec, PrefixConfiguration, binary_search, compute_importance,
+                      estimate_offline, full_cache_state, priority_sequence, synth_trace)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -51,6 +52,39 @@ def test_traced_function_resolves(module_name, path):
 def test_cache_state_members_the_workloads_read(member):
     state = full_cache_state(synth_trace(2, 1, 6, [1.0, 1.0], seed=0))
     assert hasattr(state, member)
+
+
+def configuration_members():
+    """Every member read from a configuration by the workloads or the tracer.
+
+    The workloads hold configurations as ``config`` or ``state.config``;
+    the tracer reads the configuration ``estimate_offline`` returns as
+    ``result`` in ``_after_estimate``.
+    """
+    members = set()
+    for node in ast.walk(ast.parse((PERFBENCH / "workloads.py").read_text())):
+        if isinstance(node, ast.Attribute) and (
+                isinstance(node.value, ast.Name) and node.value.id == "config"
+                or isinstance(node.value, ast.Attribute) and node.value.attr == "config"):
+            members.add(node.attr)
+    for function in ast.parse(TRACING.read_text()).body:
+        if isinstance(function, ast.FunctionDef) and function.name == "_after_estimate":
+            members |= {node.attr for node in ast.walk(function)
+                        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "result"}
+    return sorted(members)
+
+
+CONFIGURATION_MEMBERS = configuration_members()
+
+
+def test_configuration_members_are_found():
+    assert CONFIGURATION_MEMBERS == ["policy", "sink_count", "threshold", "token_counts"]
+
+
+@pytest.mark.parametrize("member", CONFIGURATION_MEMBERS)
+def test_configuration_members_the_workloads_read(member):
+    assert member in {field.name for field in dataclasses.fields(PrefixConfiguration)}
 
 
 def workload_calls():
