@@ -437,101 +437,85 @@ def config_to_dict(config: PrefixConfiguration) -> dict:
 # The search outcome's fields, which a prefixkv configuration holds at its top level.
 _THRESHOLD_FIELDS = ("p", "steps", "delta_final", "converged")
 
-# Configuration fields that hold counts; every other number is a finite real.
-_COUNT_FIELDS = ("min_tokens_per_layer", "seq_len", "steps", "samples", "sink_count",
-                 "token_counts")
 
+def _number(name: str, value, count: bool = False, low=-math.inf, high=math.inf):
+    """``value`` if it is an integer (a ``count``) or else a finite real, within [low, high].
 
-def _check_numbers(doc: dict) -> None:
-    """Refuse numeric fields of the wrong JSON type before they are used.
-
-    Counts must be integers and the other numbers finite; ``true`` and
-    ``false`` are neither, though Python would take them as 1 and 0.
+    ``true`` and ``false`` are neither, though Python would take them as 1 and 0.
     """
-    budget = doc["budget"] if isinstance(doc.get("budget"), dict) else {}
-    fields = [(f"budget.{k}", k, budget[k])
-              for k in ("r", "min_tokens_per_layer") if k in budget]
-    fields += [(k, k, doc[k]) for k in ("seq_len", "p", "steps", "delta_final", "samples",
-                                        "sink_count") if doc.get(k) is not None]
-    if isinstance(doc.get("token_counts"), list):
-        fields += [(f"token_counts[{i}]", "token_counts", v)
-                   for i, v in enumerate(doc["token_counts"])]
-    for name, key, value in fields:
-        count = key in _COUNT_FIELDS
-        if isinstance(value, bool) or not isinstance(value, int if count else (int, float)):
-            kind = "an integer" if count else "a number"
-            raise ParseError(f"field '{name}' must be {kind}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ParseError(f"field '{name}' must be finite, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int if count else (int, float)):
+        raise ParseError(f"field '{name}' must be {'an integer' if count else 'a number'}, "
+                         f"got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParseError(f"field '{name}' must be finite, got {value!r}")
+    if not low <= value <= high:
+        raise ParseError(f"field '{name}' must lie in [{low}, {high}], got {value}")
+    return value
 
 
 def config_from_dict(doc: dict) -> PrefixConfiguration:
-    _check_numbers(doc)
+    """Read a configuration document in one pass, refusing what no plan can be.
+
+    A null field is an absent one. The policy decides which optional fields
+    belong: ``sink_count`` to every local plan and no other, the threshold
+    fields to every prefixkv plan and no other, ``samples`` to prefixkv
+    plans only. Each number's kind and range are checked as it is read.
+    Older documents also hold ratios and source, and older budget blocks
+    delta_tol and max_steps; the counts and the policy say all of that, so
+    they are ignored.
+    """
     try:
-        b = doc["budget"]
-        # Older documents also hold ratios and source, and older budget
-        # blocks delta_tol and max_steps; the counts and the policy say
-        # all of that, so they are ignored.
-        budget = BudgetSpec(r=b["r"], min_tokens_per_layer=b.get(
-            "min_tokens_per_layer", BudgetSpec.min_tokens_per_layer))
+        doc = {k: v for k, v in doc.items() if v is not None}
+        policy = doc["policy"]
+        if policy not in POLICIES:
+            raise ParseError(f"unknown policy {policy!r}")
+        if ("sink_count" in doc) != (policy == "local"):
+            raise ParseError(f"sink_count belongs to every local plan and no other; this {policy} "
+                             f"plan {'has' if 'sink_count' in doc else 'lacks'} one")
         # Any threshold field brings the whole search outcome; a missing one
         # is a missing key.
         searched = any(k in doc for k in _THRESHOLD_FIELDS)
-        config = PrefixConfiguration(
-            budget=budget,
-            seq_len=doc["seq_len"],
-            token_counts=np.asarray(doc["token_counts"], dtype=np.int64),
-            policy=doc["policy"],
-            threshold=SearchResult(*(doc[k] for k in _THRESHOLD_FIELDS)) if searched else None,
-            samples=doc.get("samples"),
-            sink_count=doc.get("sink_count"),
-        )
+        if searched != (policy == "prefixkv"):
+            raise ParseError(f"the threshold fields {list(_THRESHOLD_FIELDS)} belong to every "
+                             f"prefixkv plan and no other; this {policy} plan "
+                             f"{'has' if searched else 'lacks'} them")
+        if "samples" in doc and policy != "prefixkv":
+            raise ParseError(f"samples belong to offline prefixkv plans only, not to a {policy} plan")
+        b = doc["budget"]
+        b = {k: v for k, v in b.items() if v is not None} if isinstance(b, dict) else b
+        r = _number("budget.r", b["r"])
+        floor = _number("budget.min_tokens_per_layer",
+                        b.get("min_tokens_per_layer", BudgetSpec.min_tokens_per_layer), count=True)
+        budget = BudgetSpec(r=r, min_tokens_per_layer=floor)
+        N = _number("seq_len", doc["seq_len"], count=True)
+        if N < 1:
+            raise ParseError(f"seq_len must be at least 1, got {N}")
+        threshold = SearchResult(
+            p=_number("p", doc["p"], low=0.0, high=1.0),
+            steps=_number("steps", doc["steps"], count=True, low=0),
+            delta_final=_number("delta_final", doc["delta_final"]),
+            converged=doc["converged"]) if searched else None
+        if searched and not isinstance(threshold.converged, bool):
+            raise ParseError(f"field 'converged' must be true or false, got {threshold.converged!r}")
+        counts = doc["token_counts"]
+        for i, value in enumerate(counts if isinstance(counts, list) else []):
+            _number(f"token_counts[{i}]", value, count=True)
+        counts = np.asarray(counts, dtype=np.int64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed configuration document: {exc}") from exc
-    _check_invariants(config)
-    return config
-
-
-def _check_invariants(config: PrefixConfiguration) -> None:
-    """Refuse a configuration that breaks what every plan guarantees.
-
-    Each optional field belongs to the plans that have it: ``sink_count``
-    to every local plan, the threshold fields to every prefixkv plan, and
-    ``samples`` to offline prefixkv plans.
-    """
-    policy, threshold, samples, sinks = (config.policy, config.threshold, config.samples,
-                                         config.sink_count)
-    if policy not in POLICIES:
-        raise ParseError(f"unknown policy {policy!r}")
-    if (sinks is None) == (policy == "local"):
-        raise ParseError(f"sink_count belongs to every local plan and no other; this {policy} "
-                         f"plan {'lacks' if sinks is None else 'has'} one")
-    if (threshold is None) == (policy == "prefixkv"):
-        raise ParseError(f"the threshold fields {list(_THRESHOLD_FIELDS)} belong to every "
-                         f"prefixkv plan and no other; this {policy} plan "
-                         f"{'lacks' if threshold is None else 'has'} them")
-    if samples is not None and policy != "prefixkv":
-        raise ParseError(f"samples belong to offline prefixkv plans only, not to a {policy} plan")
-    if threshold is not None and not isinstance(threshold.converged, bool):
-        raise ParseError(f"field 'converged' must be true or false, got {threshold.converged!r}")
-    p, steps = (threshold.p, threshold.steps) if threshold else (None, None)
-    for name, value, low, high in (("p", p, 0.0, 1.0), ("steps", steps, 0, math.inf),
-                                   ("samples", samples, 1, math.inf),
-                                   ("sink_count", sinks, 0, math.inf)):
-        if value is not None and not low <= value <= high:
-            raise ParseError(f"field '{name}' must lie in [{low}, {high}], got {value}")
-    N, counts = config.seq_len, config.token_counts
-    if N < 1:
-        raise ParseError(f"seq_len must be at least 1, got {N}")
     if counts.ndim != 1 or not len(counts):
         raise ParseError("a configuration needs a list of token counts, one per layer, "
                          "for at least one layer")
-    floor = config.budget.min_tokens_per_layer
     if counts.min() < floor or counts.max() > N:
         raise ParseError(f"token_counts must lie in [{floor}, {N}], got {counts.tolist()}")
-    total = _budget_tokens(config.budget, len(counts), N)
+    total = _budget_tokens(budget, len(counts), N)
     if counts.sum() != total:
         raise ParseError(f"token_counts sum to {counts.sum()}, not the budget's {total} tokens")
+    return PrefixConfiguration(
+        budget=budget, seq_len=N, token_counts=counts, policy=policy, threshold=threshold,
+        samples=_number("samples", doc["samples"], count=True, low=1) if "samples" in doc else None,
+        sink_count=(_number("sink_count", doc["sink_count"], count=True, low=0)
+                    if "sink_count" in doc else None))
 
 
 def save_config(config: PrefixConfiguration, path: str | Path) -> None:

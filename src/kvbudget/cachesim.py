@@ -455,12 +455,15 @@ def prefill_compress(
 
 
 def full_cache_state(trace: AttentionTrace,
-                     protect_distance: int = DEFAULT_PROTECT_DISTANCE,
                      profile: ImportanceProfile | None = None) -> CacheState:
-    """A state that retains everything: uniform policy at full budget."""
+    """A state that retains everything: uniform policy at full budget.
+
+    Its capacity at length t is t, so it never evicts and has no use for a
+    protection window.
+    """
     budget = BudgetSpec(r=1.0, min_tokens_per_layer=1)
     config = baseline_config("uniform", budget, trace.meta)
-    return prefill_compress(trace, config, protect_distance=protect_distance, profile=profile)
+    return prefill_compress(trace, config, profile=profile)
 
 
 def _match(policy: str, position: int, key, positions: np.ndarray, keys) -> int:

@@ -231,11 +231,10 @@ class _Run:
         else:
             decode(self.model, self.trace, steps, state)
 
-    def reference(self, steps: int, protect: int):
+    def reference(self, steps: int):
         """Full-cache toy decode: the ``(tokens, features)`` disturbance compares against."""
         return decode(self.model, self.trace, steps,
-                      full_cache_state(self.trace, protect_distance=protect,
-                                       profile=self.profile))
+                      full_cache_state(self.trace, profile=self.profile))
 
 
 def _trace_run(trace: AttentionTrace, steps: int) -> _Run:
@@ -269,9 +268,10 @@ def run_synth(args: argparse.Namespace) -> list[str]:
             raise UsageError(f"cannot parse --concentration {args.concentration!r}") from exc
         if len(values) == 1:
             values = values * args.layers
-        args.concentration = ",".join(repr(v) for v in values)
         trace = synth_trace(args.layers, args.heads, args.seq, values,
                             seed=args.seed, with_kv=args.kv, label=args.label)
+        # Recorded once the sizes passed synth_trace's checks: one string per layer.
+        args.concentration = ",".join(repr(v) for v in values)
     else:
         model = ToyModel(layers=args.layers, heads=args.heads, dim=args.dim,
                          vocab=args.vocab, seed=args.seed)
@@ -348,8 +348,8 @@ def run_simulate(args: argparse.Namespace) -> list[str]:
         raise UsageError("pass exactly one of --trace or --toy-seed")
     if args.disturb and args.toy_seed is None:
         raise UsageError("--disturb requires the toy-model input")
-    if args.config is None and args.budget is None:
-        raise UsageError("pass --config or --budget")
+    if (args.config is None) == (args.budget is None):
+        raise UsageError("pass exactly one of --config or --budget")
     _check_run_flags(args)
 
     inputs = [p for p in (args.trace, args.config) if p is not None]
@@ -372,7 +372,7 @@ def run_simulate(args: argparse.Namespace) -> list[str]:
     if args.disturb:
         # The logged run decoded its own tokens; disturbance teacher-forces
         # the reference's, so it starts from a fresh compressed prefill.
-        mae = disturbance(run.model, run.trace, run.reference(args.steps, args.protect),
+        mae = disturbance(run.model, run.trace, run.reference(args.steps),
                           run.compress(config, args.protect, args.merge))
         rows = [[l, t, float(v)] for (l, t), v in np.ndenumerate(mae)]
         writes.append((args.out_disturb, functools.partial(
@@ -414,7 +414,7 @@ def run_compare(args: argparse.Namespace) -> list[str]:
     if args.toy_seed is not None:
         inputs = []
         runs = _toy_runs(args, args.runs)
-        references = [run.reference(args.decode_len, args.protect) for run in runs]
+        references = [run.reference(args.decode_len) for run in runs]
         header.append("mean_mae")
     else:
         inputs = list(args.traces)

@@ -126,6 +126,7 @@ def forward_trace(model: ToyModel, token_ids) -> AttentionTrace:
     post-attention residual stream of every layer.
     """
     ids = model._check_ids(token_ids)
+    _check_size("attention", (model.layers, model.heads, len(ids), len(ids)))
     attention, keys, values, features = _forward(model, ids)
     meta = TraceMeta(
         layers=model.layers, heads=model.heads, seq_len=len(ids),
@@ -162,6 +163,7 @@ def decode(
     """
     if not _is_int(steps) or steps < 1:
         raise UsageError("decode needs at least one step")
+    _check_size("decode features", (steps, model.layers, model.dim))
     if trace.features is None:
         raise MismatchError("decode continues from a forward trace with features")
     if state.current_len != trace.meta.seq_len:

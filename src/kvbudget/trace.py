@@ -54,7 +54,11 @@ MAX_JSON_BYTES = 8 * MAX_TRACE_ELEMENTS
 
 @dataclass(frozen=True)
 class TraceMeta:
-    """Shape and provenance of a trace: L layers, H heads, N tokens."""
+    """Shape and provenance of a trace: L layers, H heads, N tokens.
+
+    Each field is refused (``ValidationError``) unless the trace files can
+    hold it: positive integer sizes, a string label, an integer or None seed.
+    """
 
     layers: int
     heads: int
@@ -69,7 +73,11 @@ class TraceMeta:
                 raise ValidationError(f"meta.{name} must be a positive integer, got {value!r}")
             # Python ints, which the JSON writers take; numpy ones are accepted too.
             object.__setattr__(self, name, int(value))
-        if _is_int(self.seed):
+        if not isinstance(self.label, str):
+            raise ValidationError(f"meta.label must be a string, got {self.label!r}")
+        if self.seed is not None:
+            if not _is_int(self.seed):
+                raise ValidationError(f"meta.seed must be an integer or None, got {self.seed!r}")
             object.__setattr__(self, "seed", int(self.seed))
 
 
@@ -286,6 +294,8 @@ def synth_trace(
     meta = TraceMeta(layers=layers, heads=heads, seq_len=seq_len, label=label, seed=seed)
     L, H, N = meta.layers, meta.heads, meta.seq_len
     _check_size("attention", (L, H, N, N))
+    if with_kv:
+        _check_size("keys", (L, H, N, SYNTH_KV_DIM))
     rng = np.random.default_rng(seed)
     lower = np.tri(N, N, k=0, dtype=bool)
 
@@ -398,13 +408,8 @@ def _from_doc(doc: dict) -> AttentionTrace:
     layers = _require(meta_doc, "layers", int, "meta")
     heads = _require(meta_doc, "heads", int, "meta")
     seq_len = _require(meta_doc, "seq_len", int, "meta")
-    label = meta_doc.get("label", "")
-    seed = meta_doc.get("seed")
-    if not isinstance(label, str):
-        raise ParseError("field 'meta.label' must be str")
-    if seed is not None and not _is_int(seed):
-        raise ParseError("field 'meta.seed' must be int or null")
-    meta = TraceMeta(layers=layers, heads=heads, seq_len=seq_len, label=label, seed=seed)
+    meta = TraceMeta(layers=layers, heads=heads, seq_len=seq_len,
+                     label=meta_doc.get("label", ""), seed=meta_doc.get("seed"))
 
     has_attention = doc.get("attention") is not None
     has_importance = doc.get("importance") is not None

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -672,6 +673,45 @@ def test_config_rejects_non_finite_and_mistyped_numbers(tmp_path, two_layer_seq,
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="must be (finite|a number|an integer)"):
         load_config(path)
+
+
+def _read(doc):
+    """What config_from_dict makes of ``doc``: its document again, or its refusal."""
+    try:
+        return config_to_dict(config_from_dict(doc))
+    except (ParseError, BudgetError) as exc:
+        return type(exc), str(exc)
+
+
+def test_a_null_field_reads_as_an_absent_one(two_layer_seq):
+    # "seq_len": null used to end in a TypeError, and a null threshold field
+    # on a prefixkv plan was accepted.
+    budget = BudgetSpec(r=0.5)
+    fields = ["budget", "seq_len", "token_counts", "policy", "samples", "sink_count",
+              "p", "steps", "delta_final", "converged"]
+    for config in (plan_online(two_layer_seq, budget),
+                   estimate_offline([two_layer_seq] * 2, budget),
+                   baseline_config("local", budget, two_layer_seq.meta, sink_count=1)):
+        doc = config_to_dict(config)
+        assert _read(doc) == doc
+        for key in fields:
+            absent = {k: v for k, v in doc.items() if k != key}
+            assert _read({**absent, key: None}) == _read(absent), key
+        for key in ("r", "min_tokens_per_layer"):
+            absent = {k: v for k, v in doc["budget"].items() if k != key}
+            assert (_read({**doc, "budget": {**absent, key: None}})
+                    == _read({**doc, "budget": absent})), key
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda seq: ratio_at_threshold(seq, 0, 1.5), "threshold must be in [0, 1], got 1.5"),
+    (lambda seq: ratio_at_threshold(seq, 0, -0.1), "threshold must be in [0, 1], got -0.1"),
+    (lambda seq: estimate_offline([seq], BudgetSpec(r=0.5), method="median"),
+     "unknown offline method 'median'"),
+], ids=["threshold-above", "threshold-below", "offline-method"])
+def test_planning_refuses_arguments_outside_its_domain(two_layer_seq, call, message):
+    with pytest.raises(UsageError, match=re.escape(message)):
+        call(two_layer_seq)
 
 
 def test_planning_never_builds_the_order_permutation():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,11 @@ class TestPrefill:
         trace = shortcut_trace([[0.7, 0.2, 0.05, 0.05], [0.1, 0.2, 0.3, 0.4]])
         with pytest.raises(MismatchError, match="token_counts must be nonnegative"):
             prefill_compress(trace, importance_config([-1, 3], 4, 0.25))
+
+    def test_count_above_the_trace_length_rejected(self):
+        trace = shortcut_trace([[0.7, 0.2, 0.05, 0.05], [0.1, 0.2, 0.3, 0.4]])
+        with pytest.raises(MismatchError, match="token_counts exceed the trace length"):
+            prefill_compress(trace, importance_config([5, 1], 4, 0.75))
 
     def test_feature_merge_requires_kv(self):
         trace = shortcut_trace([[1.0, 1.0, 1.0, 1.0]])
@@ -300,6 +307,24 @@ class TestDecodeStep:
             with pytest.raises(UsageError, match=rf"layer {layer} outside \[0, 1\)"):
                 state.set_layer(layer, [0], [0.1])
         assert state.live_positions(0) == list(range(12))
+
+    @pytest.mark.parametrize("arrays, message", [
+        (([0, 1], [0.1]), "importance must have one value per position"),
+        (([0], [0.1], np.ones((1, 1, 2))), "pass both keys and values, or neither"),
+        (([0], [0.1], np.ones((1, 2, 2)), np.ones((1, 2, 2))),
+         "keys and values must have shape (heads, positions, dim)"),
+    ], ids=["importance", "keys-without-values", "keys-shape"])
+    def test_set_layer_rejects_arrays_that_disagree(self, arrays, message):
+        state = make_state([0.5, 0.4], [0, 1], 2, 2)
+        with pytest.raises(UsageError, match=re.escape(message)):
+            state.set_layer(0, *arrays)
+        assert state.live_positions(0) == [0, 1]
+
+    def test_feature_merge_step_requires_vectors(self):
+        state = make_state([0.5, 0.4], [0, 1], 2, 2, merge_policy="feature")
+        with pytest.raises(MismatchError, match="feature merging requires key vectors"):
+            state.decode_step([np.full((1, 3), 1.0 / 3)])
+        assert state.current_len == 2 and not state.step_log
 
     @pytest.mark.parametrize("protect", [1.5, True])
     def test_protect_distance_must_be_an_integer(self, protect):
@@ -638,7 +663,7 @@ class TestDisturbance:
         trace = forward_trace(model, prompt)
         seq = priority_sequence(compute_importance(trace))
         config = plan_online(seq, BudgetSpec(r=0.3))
-        reference = decode(model, trace, 6, full_cache_state(trace, protect_distance=2))
+        reference = decode(model, trace, 6, full_cache_state(trace))
         state = prefill_compress(trace, config, protect_distance=2)
         mae = disturbance(model, trace, reference, state)
         assert np.all(mae >= 0.0)

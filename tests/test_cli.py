@@ -269,6 +269,15 @@ class TestSimulate:
         assert run(["simulate", "--budget", "0.5", "--trace", "t.json",
                     "--steps", "4", "--disturb"], tmp_path) == 1
 
+    def test_config_and_budget_together_are_a_usage_error(self, tmp_path, capsys,
+                                                          dirichlet_trace):
+        # The budget used to be ignored, yet recorded in the manifest.
+        assert run(["plan", "--budget", "0.25", "--out", "c.json", "t.json"], tmp_path) == 0
+        assert run(["simulate", "--config", "c.json", "--budget", "0.9", "--trace", "t.json",
+                    "--steps", "0"], tmp_path) == 1
+        assert capsys.readouterr().err == "usage error: pass exactly one of --config or --budget\n"
+        assert not (tmp_path / "sim.jsonl").exists()
+
     @pytest.mark.parametrize("steps", ["40", "41"])
     def test_steps_leaving_no_prefill_exit_2(self, tmp_path, capsys, dirichlet_trace, steps):
         assert run(["simulate", "--budget", "0.5", "--trace", "t.json",
@@ -333,6 +342,27 @@ class TestSimulate:
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert not (tmp_path / "sim.jsonl").exists()
         assert not (tmp_path / "retained_info.csv").exists()
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"seq_len": None}, "malformed configuration document: 'seq_len'"),
+    ({"p": None}, "malformed configuration document: 'p'"),
+    ({"steps": None}, "malformed configuration document: 'steps'"),
+    ({"delta_final": None}, "malformed configuration document: 'delta_final'"),
+    ({"policy": "foo"}, "unknown policy 'foo'"),
+], ids=["null-seq-len", "null-p", "null-steps", "null-delta-final", "unknown-policy"])
+def test_config_with_a_null_or_unknown_value_exits_2(tmp_path, capsys, dirichlet_trace, patch,
+                                                     message):
+    # A null is written as such: it reads as an absent field. The seq_len
+    # one used to end in a TypeError traceback, and the threshold ones to
+    # simulate and exit 0.
+    assert run(["plan", "--budget", "0.25", "--out", "c.json", "t.json"], tmp_path) == 0
+    doc = json.loads((tmp_path / "c.json").read_text())
+    (tmp_path / "bad.json").write_text(json.dumps({**doc, **patch}))
+    assert run(["simulate", "--config", "bad.json", "--trace", "t.json", "--steps", "0"],
+               tmp_path) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "sim.jsonl").exists()
 
 
 def test_capacity_comes_from_the_counts_alone(tmp_path):
@@ -536,8 +566,10 @@ class TestManifests:
          "['bogus'] do not belong to command 'plan'"),
         (lambda doc: {**doc, "command": ["plan"]}, "unknown command ['plan']"),
         (lambda doc: {**doc, "command": "replay"}, "unknown command 'replay'"),
+        (lambda doc: {**doc, "params": {**doc["params"], "command": "synth"}},
+         "parameter 'command' disagrees with command 'plan'"),
     ], ids=["list", "missing-param", "mistyped-param", "bool-flag", "paths", "unknown-param",
-            "command-list", "replay-command"])
+            "command-list", "replay-command", "params-command"])
     def test_replay_parses_recorded_params_like_a_command_line(self, tmp_path, capsys,
                                                                dirichlet_trace, corrupt, message):
         # Each of these used to end in a traceback (or, for an unknown
@@ -589,10 +621,11 @@ def input_trace(tmp_path_factory):
     ["synth", "--mode", "toy", "--seq", "-1", "--out", "t.json"],
     ["synth", "--seed", "-1", "--out", "t.json"],
     ["simulate", "--toy-seed", "-1", "--budget", "0.3"],
+    ["compare", "--budgets", "0.3", "--policies", ",", "TRACE"],
 ], ids=["toy-dim", "prompt-len", "protect", "decode-len", "steps",
         "compare-policy", "compare-merge", "plan-sink", "simulate-sink", "compare-sink",
         "synth-concentration", "toy-heads", "toy-vocab", "toy-dim-zero", "toy-divisibility",
-        "concentration-text", "toy-seq", "synth-seed", "toy-seed"])
+        "concentration-text", "toy-seq", "synth-seed", "toy-seed", "compare-no-policies"])
 def test_bad_run_values_are_usage_errors(tmp_path, capsys, input_trace, argv):
     argv = [input_trace if arg == "TRACE" else arg for arg in argv]
     assert run(argv, tmp_path) == 1
@@ -625,7 +658,8 @@ def test_non_finite_trace_is_validation_error(tmp_path, capsys, nan_trace, argv)
     ["plan", "--budget", "0.5", "missing.json"],
     ["analyze", "missing.json"],
     ["plan", "--budget", "0.5", "--out", "missing/config.json", "TRACE"],
-], ids=["plan-input", "analyze-input", "plan-output"])
+    ["replay", "missing.json"],
+], ids=["plan-input", "analyze-input", "plan-output", "replay-manifest"])
 def test_unreadable_or_unwritable_paths_exit_2(tmp_path, capsys, input_trace, argv):
     argv = [input_trace if arg == "TRACE" else arg for arg in argv]
     assert run(argv, tmp_path) == 2
@@ -859,11 +893,17 @@ def test_oversized_synth_is_refused_before_allocating(tmp_path, capsys):
     (["compare", "--budgets", "0.5", "--toy-seed", "1", "--toy-layers", "1", "--toy-heads", "1",
       "--toy-dim", "1", "--toy-vocab", "8", "--prompt-len", "8", "--runs", "1"],
      "attention of shape (1, 1, 8, 8)"),
-], ids=["vocab", "layers", "prompt"])
+    (["simulate", "--toy-seed", "1", "--toy-layers", "1", "--toy-heads", "1", "--toy-dim", "4",
+      "--toy-vocab", "8", "--prompt-len", "2", "--budget", "0.5", "--steps", "11"],
+     "decode features of shape (11, 1, 4)"),
+    (["synth", "--layers", "1", "--seq", "3", "--kv", "--out", "t.json"],
+     "keys of shape (1, 1, 3, 16)"),
+], ids=["vocab", "layers", "prompt", "decode", "synth-kv"])
 def test_oversized_toy_model_or_prompt_is_refused_before_allocating(tmp_path, capsys,
                                                                     monkeypatch, argv, refused):
-    # A vocabulary of 2^40 or a prompt of 10^9 tokens used to end in a
-    # MemoryError traceback or an out-of-memory kill; a small limit stands in.
+    # A vocabulary of 2^40, a prompt of 10^9 tokens, 10^9 decode steps or
+    # 2^26 layers of keys used to end in a MemoryError traceback or an
+    # out-of-memory kill; a small limit stands in.
     monkeypatch.setattr("kvbudget.trace.MAX_TRACE_ELEMENTS", 40)
     assert run(argv, tmp_path) == 2
     assert f"error: {refused} holds" in capsys.readouterr().err

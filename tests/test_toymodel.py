@@ -185,6 +185,13 @@ class TestDecode:
             decode(model, trace, 2, state, forced_tokens=[bad, 3])
         assert state.current_len == 20 and not state.step_log
 
+    def test_forced_tokens_must_cover_every_step(self, model):
+        trace = forward_trace(model, prompt_for(model, 20))
+        state = full_cache_state(trace)
+        with pytest.raises(UsageError, match="forced_tokens must cover every decode step"):
+            decode(model, trace, 3, state, forced_tokens=[1, 2])
+        assert state.current_len == 20 and not state.step_log
+
     @pytest.mark.parametrize("forced", [[1.7, 2.2], [True, False]], ids=["float", "bool"])
     def test_forced_tokens_must_be_integers(self, model, forced):
         # Unchecked, the int64 cast ran 1.7 as id 1 and True as id 1.

@@ -113,6 +113,12 @@ class TestLoad:
         assert trace.is_shortcut
         assert trace.attention is None
 
+    def test_kv_needs_values(self, tmp_path):
+        doc = minimal_doc([[1.0]])
+        doc["kv"] = {"keys": [[[[0.5]]]]}
+        with pytest.raises(ParseError, match="missing field 'values'"):
+            load_trace(write_doc(tmp_path, doc))
+
     def test_negative_importance_rejected(self, tmp_path):
         doc = {"meta": {"layers": 1, "heads": 1, "seq_len": 2}, "importance": [[1.0, -0.1]]}
         with pytest.raises(ValidationError, match="negative importance"):
@@ -442,6 +448,18 @@ class TestNpz:
         assert np.array_equal(back.importance, trace.importance)
 
 
+@pytest.mark.parametrize("meta, message", [
+    ({}, "missing field 'meta'"),
+    ({"meta": np.array(3)}, "member 'meta' must be a JSON string"),
+    ({"meta": np.array("{not json")}, "invalid JSON in member 'meta'"),
+], ids=["missing", "number", "invalid-json"])
+def test_npz_meta_must_be_a_json_string(tmp_path, meta, message):
+    path = tmp_path / "t.npz"
+    np.savez(path, importance=np.ones((1, 2)), **meta)
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_trace(path)
+
+
 def test_meta_rejects_bool_counts(tmp_path):
     with pytest.raises(ValidationError, match="meta.layers"):
         TraceMeta(layers=True, heads=1, seq_len=1)
@@ -450,8 +468,38 @@ def test_meta_rejects_bool_counts(tmp_path):
     with pytest.raises(ParseError, match="'meta.layers' must be int, got bool"):
         load_trace(write_doc(tmp_path, doc))
     doc["meta"]["layers"], doc["meta"]["seed"] = 1, False
-    with pytest.raises(ParseError, match="meta.seed"):
+    with pytest.raises(ValidationError, match="meta.seed"):
         load_trace(write_doc(tmp_path, doc))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("label", 5), ("label", None), ("seed", "x"), ("seed", 1.5), ("seed", True),
+    ("seed", np.bool_(True)),
+])
+def test_meta_refuses_what_a_trace_file_cannot_hold(field, value):
+    # These used to be accepted and written; load_trace then refused the file.
+    with pytest.raises(ValidationError, match=f"meta.{field}"):
+        TraceMeta(layers=1, heads=1, seq_len=2, **{field: value})
+
+
+ANY = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+       | st.integers(-2**63, 2**63 - 1).map(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(label=ANY, seed=ANY)
+def test_every_accepted_meta_round_trips(tmp_path_factory, label, seed):
+    # A trace the library builds can be loaded back, in either file format.
+    try:
+        meta = TraceMeta(layers=1, heads=1, seq_len=2, label=label, seed=seed)
+    except ValidationError:
+        return
+    trace = AttentionTrace(meta=meta, importance=np.ones((1, 2)))
+    root = tmp_path_factory.mktemp("meta")
+    for suffix in (".json", ".npz"):
+        path = root / f"t{suffix}"
+        save_trace(trace, path)
+        assert load_trace(path).meta == meta
 
 
 class TestSizeGuard:
@@ -463,6 +511,14 @@ class TestSizeGuard:
         # mask, 8 TB) fails at once, so a broken guard cannot fill memory.
         with pytest.raises(TraceTooLargeError, match="attention of shape"):
             synth_trace(1, 1, 10**12, [1.0], seed=0)
+
+    def test_forward_trace_refuses_before_allocating(self, monkeypatch):
+        # The CLI checks its own prompts; a library caller's used to reach
+        # the (L, H, N, N) allocation unchecked. A small limit stands in.
+        model = ToyModel(layers=1, heads=1, dim=4, vocab=8)
+        monkeypatch.setattr("kvbudget.trace.MAX_TRACE_ELEMENTS", 40)
+        with pytest.raises(TraceTooLargeError, match=re.escape("attention of shape (1, 1, 7, 7)")):
+            forward_trace(model, range(7))
 
     def test_npz_member_checked_from_its_header(self, tmp_path):
         header = io.BytesIO()
