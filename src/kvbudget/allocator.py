@@ -150,33 +150,25 @@ def _insertion_points(cumulative: np.ndarray, values) -> np.ndarray:
     return points
 
 
-def binary_search(seq: PrioritySequence, budget: BudgetSpec, *, delta_tol: float = DELTA_TOL,
-                  max_steps: int = MAX_STEPS) -> SearchResult:
+def binary_search(seq: PrioritySequence, budget: BudgetSpec) -> SearchResult:
     """Bisect on the retention threshold until the budget difference vanishes.
 
     Follows the midpoint recurrence p <- (p1 + p2) / 2 starting from
     [0, 1], moving p1 up while the configuration is under budget and p2
     down while over. Stops on an exact zero difference, on
-    ``|delta| <= delta_tol``, or after ``max_steps`` evaluations. Because
+    ``|delta| <= DELTA_TOL``, or after ``MAX_STEPS`` evaluations. Because
     the threshold-to-ratio map only changes at cumulative priority
     values, the search also stops once at most one such value remains
     inside the bracket: no further midpoint can improve on the best
     difference already seen, which is then returned (converged=False if
     it missed the tolerance).
-
-    Planning always searches with ``DELTA_TOL`` and ``MAX_STEPS``; the
-    two keywords exist so that the search itself can be studied, and a
-    plan's counts do not depend on them.
     """
-    if not 0.0 <= delta_tol < math.inf:
-        raise UsageError(f"delta_tol must be finite and nonnegative, got {delta_tol}")
-    if not _is_int(max_steps) or max_steps < 1:
-        raise UsageError(f"max_steps must be an integer of at least 1, got {max_steps!r}")
-    return _search(seq.cumulative, budget, delta_tol, max_steps)
+    return _search(seq.cumulative, budget)
 
 
 def _search(cumulative: np.ndarray, budget: BudgetSpec, delta_tol: float = DELTA_TOL,
             max_steps: int = MAX_STEPS) -> SearchResult:
+    """``binary_search`` on an (L, N) cumulative matrix; a study of the search sets its stop."""
     L, N = cumulative.shape
     target = budget.r * L
     if budget.r == 1.0:

@@ -267,6 +267,8 @@ def run_synth(args: argparse.Namespace) -> list[str]:
         except ValueError as exc:
             raise UsageError(f"cannot parse --concentration {args.concentration!r}") from exc
         if len(values) == 1:
+            # Refuse an oversized trace before making one value per layer.
+            _check_size("attention", (args.layers, args.heads, args.seq, args.seq))
             values = values * args.layers
         trace = synth_trace(args.layers, args.heads, args.seq, values,
                             seed=args.seed, with_kv=args.kv, label=args.label)
@@ -515,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heads", type=int, default=1)
     p.add_argument("--seq", type=int, default=64)
     p.add_argument("--concentration", default="1.0",
-                   help="per-layer Dirichlet parameters, comma separated")
+                   help="per-layer Dirichlet parameters, comma separated; each sets how "
+                        "peaked that layer's attention rows are (smaller is more peaked)")
     p.add_argument("--kv", action="store_true", help="emit unit-norm key/value vectors")
     p.add_argument("--dim", type=int, default=64, help="toy model width")
     p.add_argument("--vocab", type=int, default=256, help="toy model vocabulary")

@@ -276,9 +276,10 @@ def synth_trace(
     """Generate a seeded synthetic trace with controllable concentration.
 
     Each attention row m of layer l is a symmetric Dirichlet draw over
-    positions 0..m with parameter ``concentration[l]``: small values give
-    concentrated column mass, large values disperse it. Identical
-    arguments always produce bit-identical traces.
+    positions 0..m with parameter ``concentration[l]``, which sets how
+    peaked each row is: small values put a row's mass on a few positions,
+    large values spread it evenly. Identical arguments always produce
+    bit-identical traces.
     """
     for name, size in (("layers", layers), ("heads", heads), ("seq_len", seq_len)):
         if not _is_int(size):

@@ -10,10 +10,11 @@ import pytest
 from kvbudget import (
     BudgetSpec,
     CacheEntry,
+    CacheState,
+    PrefixConfiguration,
     SearchResult,
     ToyModel,
     baseline_config,
-    binary_search,
     compute_importance,
     decode,
     disturbance,
@@ -31,6 +32,8 @@ from kvbudget import (
     synth_trace,
     trace_prefix,
 )
+
+from kvbudget.allocator import _search
 
 from conftest import seq_from_importance
 
@@ -144,7 +147,7 @@ def test_04_binary_search_behavior():
         prompt = np.random.default_rng(model.seed).integers(0, model.vocab, 96)
         seq = priority_sequence(compute_importance(forward_trace(model, prompt)))
         for j, tol in enumerate(tols):
-            result = binary_search(seq, BudgetSpec(r=0.5), delta_tol=tol)
+            result = _search(seq.cumulative, BudgetSpec(r=0.5), delta_tol=tol)
             totals[j] += result.steps
             worst = max(worst, result.steps)
     averages = totals / 20
@@ -250,10 +253,67 @@ def test_07_simulation_safety():
     report(7, violations == 0, f"50 simulations, {violations} invariant violations")
 
 
+def _oracle_match(policy, position, key, candidates):
+    """Independent oracle: explicit argmax over (position, key) candidates,
+    ties to the lower position."""
+    scores = []
+    for pos, other in candidates:
+        if policy == "position":
+            scores.append(-abs(position - pos))
+        else:
+            a = key.ravel()
+            b = other.ravel()
+            scores.append(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+    return min(range(len(candidates)), key=lambda i: (-scores[i], candidates[i][0]))
+
+
+def _kernel_merges(policy, vectors, evicted, rng):
+    """Evict ``evicted`` in order, one decode step each; count oracle mismatches.
+
+    ``vectors`` maps every position of a one-layer cache at length 64 to
+    its stacked (key, value). With protect 1 everything but the new token
+    is eligible; the accumulators rank the evictees lowest, in order, and
+    each step's rows put all their mass on the new token, which keeps that
+    ranking. The new token is live when the kernel merges, so it is a
+    candidate too.
+    """
+    positions = sorted(vectors)
+    n = len(positions)
+    heads, dim = vectors[positions[0]].shape[1:]
+    config = PrefixConfiguration(budget=BudgetSpec(r=n / 64), seq_len=64,
+                                 token_counts=np.array([n]))
+    state = CacheState(config, protect_distance=1, merge_policy=policy)
+    state.current_len = 64
+    rank = {pos: 0.1 * i for i, pos in enumerate(evicted)}
+    block = np.stack([vectors[pos] for pos in positions], axis=2)
+    state.set_layer(0, positions, [rank.get(pos, 10.0) for pos in positions], *block)
+    pools = {pos: [vectors[pos]] for pos in positions}
+    mismatches = 0
+    for gone in evicted:
+        new_pos, new = state.current_len, rng.standard_normal((2, heads, dim))
+        rows = np.zeros((heads, len(pools) + 1))
+        rows[:, -1] = 1.0
+        record = state.decode_step([rows], [new])
+        pool = pools.pop(gone)
+        pools[new_pos] = [new]
+        candidates = [(pos, np.mean(pools[pos], axis=0)[0]) for pos in sorted(pools)]
+        winner = candidates[_oracle_match(policy, gone, np.mean(pool, axis=0)[0], candidates)][0]
+        pools[winner] = pool = pools[winner] + pool
+        live = state.live_positions(0)
+        merged = np.stack(state.live_kv(0))[:, :, live.index(winner)]
+        if record["evicted"] != [{"layer": 0, "pos": gone, "merged_into": winner}] or not (
+            np.allclose(merged, np.mean(pool, axis=0), atol=1e-12, rtol=0)
+        ):
+            mismatches += 1
+    return mismatches
+
+
 def test_08_merge_oracle():
-    """Streaming merges match a flat-average oracle over original vectors."""
+    """Streaming merges, by merge() and by the decode kernel, match a
+    flat-average oracle over original vectors."""
     rng = np.random.default_rng(808)
-    calls = mismatches = 0
+    kernel_rng = np.random.default_rng(809)
+    calls = mismatches = kernel_mismatches = 0
     while calls < 500:
         heads, dim = int(rng.integers(1, 4)), int(rng.integers(2, 6))
         n_entries = int(rng.integers(2, 7))
@@ -265,22 +325,16 @@ def test_08_merge_oracle():
             entries.append(CacheEntry(position=int(pos), importance_acc=0.0,
                                       key=vec.copy(), value=vec.copy()))
             originals[int(pos)] = [vec]
+        # The kernel gets the same keys, and values of its own.
+        vectors = {pos: np.stack((key, kernel_rng.standard_normal((heads, dim))))
+                   for pos, (key,) in originals.items()}
         policy = "feature" if calls % 2 == 0 else "position"
+        evicted = []
         for _ in range(int(rng.integers(1, min(4, n_entries)))):
             evictee = entries.pop(int(rng.integers(len(entries))))
-            # Independent oracle: explicit argmax and flat mean of originals.
-            scores = []
-            for e in entries:
-                if policy == "position":
-                    scores.append(-abs(evictee.position - e.position))
-                else:
-                    a = evictee.key.ravel()
-                    b = e.key.ravel()
-                    scores.append(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
-            expect = min(
-                range(len(entries)),
-                key=lambda i: (-scores[i], entries[i].position),
-            )
+            evicted.append(evictee.position)
+            expect = _oracle_match(policy, evictee.position, evictee.key,
+                                   [(e.position, e.key) for e in entries])
             pool = originals[evictee.position] + originals[entries[expect].position]
             expected_key = np.mean(pool, axis=0)
 
@@ -291,7 +345,10 @@ def test_08_merge_oracle():
             ):
                 mismatches += 1
             originals[winner.position] = pool
-    report(8, mismatches == 0, f"{calls} merge calls, {mismatches} oracle mismatches")
+        kernel_mismatches += _kernel_merges(policy, vectors, evicted, kernel_rng)
+    report(8, mismatches == 0 and kernel_mismatches == 0,
+           f"{calls} merge calls, {mismatches} oracle mismatches; {calls} kernel merges, "
+           f"{kernel_mismatches} oracle mismatches")
 
 
 def test_09_disturbance_ordering():

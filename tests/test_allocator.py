@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -32,7 +33,7 @@ from kvbudget import (
 )
 
 from kvbudget.allocator import (OFFLINE_METHODS, _apportion, _ratios_at, _resample_cumulative,
-                                config_from_dict, config_to_dict)
+                                _search, config_from_dict, config_to_dict)
 from conftest import seq_from_importance
 
 
@@ -155,25 +156,22 @@ def test_budget_ratio_must_be_a_real_number(r):
         BudgetSpec(r=r)
 
 
-@pytest.mark.parametrize("delta_tol", [float("nan"), float("inf"), -0.1])
-def test_budget_rejects_non_finite_or_negative_tolerance(two_layer_seq, delta_tol):
-    # The tolerance is a binary_search keyword, so a bad one is a usage error.
-    with pytest.raises(UsageError, match="delta_tol must be finite and nonnegative"):
-        binary_search(two_layer_seq, BudgetSpec(r=0.5), delta_tol=delta_tol)
+@pytest.mark.parametrize("option", [{"delta_tol": 0.1}, {"max_steps": 4}],
+                         ids=["delta_tol", "max_steps"])
+def test_search_takes_only_a_sequence_and_a_budget(two_layer_seq, option):
+    # How the search stops never changes a plan, so planning has no option
+    # for it; studies of the search call _search.
+    assert list(inspect.signature(binary_search).parameters) == ["seq", "budget"]
+    with pytest.raises(TypeError):
+        binary_search(two_layer_seq, BudgetSpec(r=0.5), **option)
 
 
 @pytest.mark.parametrize("field, value", [
-    ("max_steps", 2.5), ("max_steps", True), ("max_steps", 0),
     ("min_tokens_per_layer", 1.5), ("min_tokens_per_layer", True), ("min_tokens_per_layer", -1),
 ])
-def test_budget_counts_must_be_integers_in_range(two_layer_seq, field, value):
-    # The layer floor is a BudgetSpec field; the step limit is a binary_search keyword.
-    if field == "max_steps":
-        with pytest.raises(UsageError, match="max_steps must be an integer of at least 1"):
-            binary_search(two_layer_seq, BudgetSpec(r=0.3), max_steps=value)
-    else:
-        with pytest.raises(BudgetError, match=f"{field} must be a"):
-            BudgetSpec(r=0.3, **{field: value})
+def test_budget_counts_must_be_integers_in_range(field, value):
+    with pytest.raises(BudgetError, match=f"{field} must be a"):
+        BudgetSpec(r=0.3, **{field: value})
 
 
 class TestRatioAtThreshold:
@@ -211,7 +209,7 @@ class TestRatioAtThreshold:
 class TestBinarySearch:
     def test_reference_midpoint_trace(self, two_layer_seq):
         # Midpoints are forced: 0.5 (delta -0.25), 0.75 (+0.25), 0.625 (0).
-        result = binary_search(two_layer_seq, BudgetSpec(r=0.5), delta_tol=0.0)
+        result = _search(two_layer_seq.cumulative, BudgetSpec(r=0.5), delta_tol=0.0)
         assert result.p == 0.625
         assert result.steps == 3
         assert result.delta_final == 0.0
@@ -235,11 +233,11 @@ class TestBinarySearch:
         for _ in range(15):
             seq = random_seq(rng, tokens=(48, 128))
             for i, tol in enumerate(tols):
-                totals[i] += binary_search(seq, BudgetSpec(r=0.5), delta_tol=tol).steps
+                totals[i] += _search(seq.cumulative, BudgetSpec(r=0.5), delta_tol=tol).steps
         assert np.all(np.diff(totals) <= 0)
 
     def test_respects_max_steps(self, two_layer_seq):
-        result = binary_search(two_layer_seq, BudgetSpec(r=0.5), delta_tol=0.0, max_steps=1)
+        result = _search(two_layer_seq.cumulative, BudgetSpec(r=0.5), delta_tol=0.0, max_steps=1)
         assert result.steps == 1
         assert not result.converged
 
@@ -253,7 +251,7 @@ class TestBinarySearch:
             r = float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
             if round(r * L * N) < L:
                 continue
-            result = binary_search(seq, BudgetSpec(r=r), delta_tol=0.025)
+            result = binary_search(seq, BudgetSpec(r=r))
             assert result.steps <= math.ceil(math.log2(L * N)) + 4
 
     @settings(max_examples=150, deadline=None)
@@ -272,7 +270,7 @@ class TestBinarySearch:
         raw = np.asarray(raw, dtype=float)
         raw[:, 0] += 1.0
         seq = seq_from_importance(raw)
-        result = binary_search(seq, BudgetSpec(r=r), delta_tol=delta_tol, max_steps=max_steps)
+        result = _search(seq.cumulative, BudgetSpec(r=r), delta_tol=delta_tol, max_steps=max_steps)
         assert result == unique_bracket_search(seq.cumulative, r, delta_tol, max_steps)
 
 
@@ -397,8 +395,8 @@ class TestFinalize:
             oracle = global_prefix_oracle(seq.cumulative, total, floor)
             budget = BudgetSpec(r=r, min_tokens_per_layer=floor)
             for delta_tol in (0.0, 0.025, 0.1):
-                config = finalize_config(seq, binary_search(seq, budget, delta_tol=delta_tol),
-                                         budget)
+                result = _search(seq.cumulative, budget, delta_tol=delta_tol)
+                config = finalize_config(seq, result, budget)
                 assert config.token_counts.tolist() == oracle.tolist()
             assert np.all(oracle >= previous)
             previous = oracle

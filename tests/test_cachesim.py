@@ -548,6 +548,33 @@ class TestReplay:
             logs.append(state.step_log)
         assert logs[0] == logs[1]
 
+    @pytest.mark.parametrize("policy", ["prefixkv", "uniform", "pyramid", "local"])
+    def test_merge_mode_changes_only_key_value_vectors(self, policy):
+        # Replayed rows are read at live positions only, so merging moves
+        # vectors but never what stays live, the accumulators or the log.
+        trace = self._trace(seed=5, layers=4, n=60)
+        prefix = trace_prefix(trace, 40)
+        profile = compute_importance(prefix)
+        for r in (0.1, 0.3, 0.5):
+            budget = BudgetSpec(r=r)
+            config = (plan_online(priority_sequence(profile), budget) if policy == "prefixkv"
+                      else baseline_config(policy, budget, prefix.meta, sink_count=2))
+            runs = []
+            for mode in ("none", "position", "feature"):
+                state = prefill_compress(prefix, config, protect_distance=4, merge_policy=mode,
+                                         profile=profile)
+                replay_steps(trace, state, 20)
+                runs.append((
+                    [state.live_positions(l) for l in range(4)],
+                    [[e.importance_acc for e in state.layer_caches[l]] for l in range(4)],
+                    [(rec["layer_sizes"], [ev["pos"] for ev in rec["evicted"]],
+                      rec["retained_info"]) for rec in state.step_log],
+                    retained_info(state, profile).tolist(),
+                ))
+                merged = [ev["merged_into"] for rec in state.step_log for ev in rec["evicted"]]
+                assert any(q is not None for q in merged) == (mode != "none")
+            assert runs[0] == runs[1] == runs[2]
+
     def test_too_short_trace_rejected(self):
         trace = self._trace(seed=1, n=48)
         config = plan_online(priority_sequence(compute_importance(trace)), BudgetSpec(r=0.5))

@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import json
+import shlex
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from kvbudget import (
     AttentionTrace,
     BudgetSpec,
     TraceMeta,
-    binary_search,
     compute_importance,
     finalize_config,
     layer_stats,
@@ -19,6 +20,7 @@ from kvbudget import (
     priority_sequence,
     save_trace,
 )
+from kvbudget.allocator import _search
 from kvbudget.cli import _recorded_args, main, parse_budget
 
 
@@ -48,6 +50,21 @@ def dirichlet_trace(tmp_path):
     )
     assert code == 0
     return tmp_path / "t.json"
+
+
+def test_readme_walkthrough_runs(tmp_path):
+    # Every command of the README's CLI walkthrough, in order, after the
+    # sample traces its offline example reads.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI walkthrough", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("kvbudget ")]
+    assert {argv[1] for argv in commands} == {"synth", "analyze", "plan", "simulate", "compare"}
+    for i in (1, 2, 3):
+        assert run(["synth", "--layers", "2", "--seq", "64", "--seed", str(i),
+                    "--out", f"s{i}.json"], tmp_path) == 0
+    for argv in commands:
+        assert run(argv[1:], tmp_path) == 0, argv
 
 
 class TestSynth:
@@ -147,7 +164,7 @@ class TestPlan:
         seq = priority_sequence(compute_importance(trace))
         budget = BudgetSpec(r=0.3)
         for tol in (0.0, 0.025, 0.1):
-            config = finalize_config(seq, binary_search(seq, budget, delta_tol=tol), budget)
+            config = finalize_config(seq, _search(seq.cumulative, budget, delta_tol=tol), budget)
             assert config.token_counts.tolist() == counts
         assert sum(counts) == round(0.3 * 8 * 512)
 
@@ -882,6 +899,14 @@ def test_oversized_synth_is_refused_before_allocating(tmp_path, capsys):
     # 10^12 positions: without the guard the first allocation fails at once.
     assert run(["synth", "--seq", str(10**12), "--out", "t.npz"], tmp_path) == 2
     assert "above the limit" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_oversized_synth_is_refused_before_one_concentration_per_layer(tmp_path, capsys):
+    # The single --concentration used to be copied once per layer first:
+    # a MemoryError traceback and exit 1 under a 2 GB address-space limit.
+    assert run(["synth", "--layers", str(10**12), "--seq", "1", "--out", "t.json"], tmp_path) == 2
+    assert f"error: attention of shape ({10**12}, 1, 1, 1) holds" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
