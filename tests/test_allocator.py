@@ -166,12 +166,25 @@ def test_search_takes_only_a_sequence_and_a_budget(two_layer_seq, option):
         binary_search(two_layer_seq, BudgetSpec(r=0.5), **option)
 
 
+@pytest.mark.parametrize("delta_tol", [float("nan"), float("inf"), -0.1])
+def test_budget_rejects_non_finite_or_negative_tolerance(two_layer_seq, delta_tol):
+    # The tolerance is DELTA_TOL, not an argument, so a bad one cannot reach the search.
+    with pytest.raises(TypeError, match="delta_tol"):
+        binary_search(two_layer_seq, BudgetSpec(r=0.5), delta_tol=delta_tol)
+
+
 @pytest.mark.parametrize("field, value", [
+    ("max_steps", 2.5), ("max_steps", True), ("max_steps", 0),
     ("min_tokens_per_layer", 1.5), ("min_tokens_per_layer", True), ("min_tokens_per_layer", -1),
 ])
-def test_budget_counts_must_be_integers_in_range(field, value):
-    with pytest.raises(BudgetError, match=f"{field} must be a"):
-        BudgetSpec(r=0.3, **{field: value})
+def test_budget_counts_must_be_integers_in_range(two_layer_seq, field, value):
+    # The layer floor is a BudgetSpec field; the step limit is MAX_STEPS, not an argument.
+    if field == "max_steps":
+        with pytest.raises(TypeError, match="max_steps"):
+            binary_search(two_layer_seq, BudgetSpec(r=0.3), max_steps=value)
+    else:
+        with pytest.raises(BudgetError, match=f"{field} must be a"):
+            BudgetSpec(r=0.3, **{field: value})
 
 
 class TestRatioAtThreshold:
