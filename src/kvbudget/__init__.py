@@ -47,7 +47,7 @@ from .importance import (
     compute_importance,
     priority_sequence,
 )
-from .lorenz import LayerStats, LorenzCurve, gini, layer_stats, lorenz_curve
+from .lorenz import LayerStats, LorenzCurve, layer_stats
 from .toymodel import ToyModel, decode, forward_trace
 from .trace import (
     MAX_JSON_BYTES,
@@ -94,11 +94,9 @@ __all__ = [
     "finalize_config",
     "forward_trace",
     "full_cache_state",
-    "gini",
     "layer_stats",
     "load_config",
     "load_trace",
-    "lorenz_curve",
     "merge",
     "plan_online",
     "prefill_compress",

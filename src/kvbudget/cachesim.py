@@ -88,6 +88,7 @@ class _LayerEntries(Sequence):
         return self._state.layers
 
     def __getitem__(self, layer: int) -> list[CacheEntry]:
+        _check_layer(layer, self._state.layers)
         return self._state._entries(layer)
 
 

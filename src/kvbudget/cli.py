@@ -50,8 +50,8 @@ from .errors import BudgetError, KVBudgetError, ParseError, UsageError, Validati
 from .importance import compute_importance, priority_sequence
 from .lorenz import layer_stats
 from .toymodel import ToyModel, decode, forward_trace
-from .trace import (AttentionTrace, _check_layer, _check_size, _read_json_object, load_trace,
-                    save_trace, synth_trace, trace_prefix)
+from .trace import (AttentionTrace, TraceMeta, _check_layer, _check_size, _read_json_object,
+                    load_trace, save_trace, synth_trace, trace_prefix)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -262,6 +262,8 @@ def run_synth(args: argparse.Namespace) -> list[str]:
     if args.seed is None:
         args.seed = _default_seed()
     if args.mode == "dirichlet":
+        # Refuse a non-positive size as the trace meta does, before any size is multiplied.
+        TraceMeta(layers=args.layers, heads=args.heads, seq_len=args.seq)
         try:
             values = [float(v) for v in args.concentration.split(",") if v.strip()]
         except ValueError as exc:

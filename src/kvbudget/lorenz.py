@@ -4,7 +4,9 @@ The Lorenz curve of a priority sequence plots cumulative priority
 against prefix size ratio. Because positions are sorted descending, the
 curve dominates the diagonal; the (doubled) area between them is the
 Gini coefficient, a scalar measure of how concentrated a layer's
-importance distribution is.
+importance distribution is. ``layer_stats`` is the one producer of
+curves and Gini coefficients: it computes them for every layer of a
+sequence in one block pass.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .importance import PrioritySequence
-from .trace import _check_layer
 
 _FINAL_TOL = 1e-9
 
@@ -28,11 +29,6 @@ class LorenzCurve:
 
     x: np.ndarray
     y: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.x.shape != self.y.shape or self.x.ndim != 1 or len(self.x) == 0:
-            raise ValueError("curve requires matching non-empty x and y vectors")
-        _check_curves(self.x, self.y[None])
 
 
 @dataclass(frozen=True)
@@ -61,25 +57,6 @@ def _row(cumulative: np.ndarray, layer: int) -> np.ndarray:
     return y
 
 
-def lorenz_curve(seq: PrioritySequence, layer: int) -> LorenzCurve:
-    """Curve of one layer: points ((j+1)/N, cumulative[l][j]) for j = 0..N-1.
-
-    ``y`` is a read-only view of the sequence's cumulative row.
-    """
-    _check_layer(layer, seq.meta.layers)
-    return LorenzCurve(x=_grid(seq.meta.seq_len), y=_row(seq.cumulative, layer))
-
-
-def gini(curve: LorenzCurve) -> float:
-    """Twice the trapezoidal area between the curve and the equality line.
-
-    Integration runs from the implied origin through every stored point,
-    and the result is clamped to [0, 1]. Uniform importance gives 0; a
-    single atom among N tokens gives (N-1)/N.
-    """
-    return float(_ginis(curve.x, curve.y[None])[0])
-
-
 def _check_curves(x: np.ndarray, block: np.ndarray) -> None:
     """Raise ValueError unless every row y of ``block`` makes a Lorenz curve over ``x``.
 
@@ -88,10 +65,8 @@ def _check_curves(x: np.ndarray, block: np.ndarray) -> None:
     would one at a time.
     """
     faults = [
-        ("x must be strictly increasing", np.full(len(block), np.any(np.diff(x) <= 0))),
         ("y must be nondecreasing", np.any(block[:, 1:] < block[:, :-1], axis=1)),
-        ("curve must end at (1, 1)",
-         (abs(x[-1] - 1.0) > _FINAL_TOL) | (np.abs(block[:, -1] - 1.0) > _FINAL_TOL)),
+        ("curve must end at (1, 1)", np.abs(block[:, -1] - 1.0) > _FINAL_TOL),
         ("curve dips below the equality line", np.any(block < x - _FINAL_TOL, axis=1)),
     ]
     bad = np.logical_or.reduce([rows for _, rows in faults])
@@ -120,34 +95,34 @@ def _ginis(x: np.ndarray, block: np.ndarray) -> np.ndarray:
     return np.clip(2.0 * (terms.sum(axis=1) - 0.5), 0.0, 1.0)
 
 
-def _unchecked_curve(x: np.ndarray, y: np.ndarray) -> LorenzCurve:
-    """A curve whose invariants ``_check_curves`` has already checked."""
-    curve = object.__new__(LorenzCurve)
-    object.__setattr__(curve, "x", x)
-    object.__setattr__(curve, "y", y)
-    return curve
-
-
 def layer_stats(seq: PrioritySequence) -> list[LayerStats]:
-    """Lorenz curve and Gini coefficient for every layer.
+    """Lorenz curve and Gini coefficient of every layer, in layer order.
 
-    All curves share one read-only x grid, and each y is a read-only
-    view of the sequence's cumulative row. Invariants and Gini areas are
-    computed a block of layers at a time, with the functions
-    ``LorenzCurve`` and ``gini`` apply to one curve, so the first invalid
-    layer raises its own message and every Gini has the same bits.
+    Layer l's curve has the points ((j+1)/N, cumulative[l][j]) for
+    j = 0..N-1. All curves share one read-only x grid, and each y is a
+    read-only view of the sequence's cumulative row, so the curves copy
+    nothing. A layer's Gini is twice the trapezoidal area between its
+    curve and the equality line, integrated from the implied origin
+    through every point and clamped to [0, 1]: uniform importance gives
+    0, a single atom among N tokens (N-1)/N.
+
+    Curve invariants and Gini areas are computed a block of layers at a
+    time. A row's Gini does not depend on its block, so it has the same
+    bits for any block size, and the first layer whose curve decreases,
+    does not end at (1, 1) or dips below the equality line raises a
+    ValueError naming that fault. So does a ``cumulative`` whose shape is
+    not the meta's ``(L, N)``.
     """
     L, n = seq.meta.layers, seq.meta.seq_len
-    cumulative = seq.cumulative[:L]
-    if cumulative.shape != (L, n):
-        raise ValueError("curve requires matching non-empty x and y vectors")
+    if seq.cumulative.shape != (L, n):
+        raise ValueError(f"cumulative has shape {seq.cumulative.shape}, expected {(L, n)}")
     x = _grid(n)
     step = max(1, _BLOCK_VALUES // n)
     stats = []
     for start in range(0, L, step):
-        block = cumulative[start:start + step]
+        block = seq.cumulative[start:start + step]
         _check_curves(x, block)
         for layer, g in enumerate(_ginis(x, block).tolist(), start):
-            curve = _unchecked_curve(x, _row(cumulative, layer))
+            curve = LorenzCurve(x, _row(seq.cumulative, layer))
             stats.append(LayerStats(layer=layer, gini=g, curve=curve))
     return stats

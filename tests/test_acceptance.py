@@ -21,8 +21,7 @@ from kvbudget import (
     finalize_config,
     forward_trace,
     full_cache_state,
-    gini,
-    lorenz_curve,
+    layer_stats,
     merge,
     plan_online,
     prefill_compress,
@@ -187,15 +186,15 @@ def test_06_gini_edge_cases():
     """Uniform gives 0, a single atom gives (N-1)/N, everything stays in range."""
     checks = []
     for n in (2, 4, 16, 100):
-        uniform = gini(lorenz_curve(seq_from_importance([[1.0] * n]), 0))
+        uniform = layer_stats(seq_from_importance([[1.0] * n]))[0].gini
         checks.append(abs(uniform) <= 1e-9)
-        atom = gini(lorenz_curve(seq_from_importance([[1.0] + [0.0] * (n - 1)]), 0))
+        atom = layer_stats(seq_from_importance([[1.0] + [0.0] * (n - 1)]))[0].gini
         checks.append(abs(atom - (n - 1) / n) <= 1e-9)
     rng = np.random.default_rng(66)
     for _ in range(100):
         n = int(rng.integers(1, 50))
         raw = rng.uniform(0, 1, size=(1, n)) + 1e-12
-        value = gini(lorenz_curve(seq_from_importance(raw), 0))
+        value = layer_stats(seq_from_importance(raw))[0].gini
         checks.append(0.0 <= value <= (n - 1) / n + 1e-9)
     report(6, all(checks), f"{len(checks)} edge and range checks")
 

@@ -340,10 +340,12 @@ class TestDecodeStep:
         assert [len(entries) for entries in state.layer_caches] == [2]
 
     def test_layer_entry_points_take_only_integer_indices(self):
-        # True used to pass as layer 1, and 1.0 to reach numpy's indexing.
+        # True used to pass as layer 1, and 1.0 to reach numpy's indexing;
+        # layer_caches[-1] used to give the last layer.
         state = full_cache_state(synth_trace(2, 1, 8, [1.0, 1.0], seed=0, with_kv=True))
         calls = [state.capacity, state.live_positions, state.live_kv,
-                 lambda layer: state.set_layer(layer, [0], [0.1])]
+                 lambda layer: state.set_layer(layer, [0], [0.1]),
+                 lambda layer: state.layer_caches[layer]]
         for call in calls:
             for layer in (True, 1.0, -1, 2):
                 message = rf"layer {layer!r} outside \[0, 2\)"
@@ -351,6 +353,8 @@ class TestDecodeStep:
                     call(layer)
                 assert isinstance(caught.value, IndexError)
         assert [state.live_positions(l) for l in range(2)] == [list(range(8))] * 2
+        assert len(state.layer_caches) == 2
+        assert [[e.position for e in c] for c in state.layer_caches] == [list(range(8))] * 2
 
     def test_feature_merge_exact_tie_goes_to_lower_position(self):
         # Positions 0 and 5 hold bit-identical keys, so their cosine scores

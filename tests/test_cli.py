@@ -910,6 +910,22 @@ def test_oversized_synth_is_refused_before_one_concentration_per_layer(tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("sizes, refused", [
+    (["--layers", "-3"], "meta.layers must be a positive integer, got -3"),
+    (["--layers", "-1000000", "--heads", "-1000000"],
+     "meta.layers must be a positive integer, got -1000000"),
+    (["--heads", "-2"], "meta.heads must be a positive integer, got -2"),
+    (["--seq", "-5"], "meta.seq_len must be a positive integer, got -5"),
+], ids=["layers", "layers-and-heads", "heads", "seq"])
+def test_non_positive_synth_size_is_refused_as_the_meta_refuses_it(tmp_path, capsys, sizes,
+                                                                  refused):
+    # -3 layers used to fail the concentration length (exit 1), and two
+    # negative sizes the size guard, on their positive product.
+    assert run(["synth", *sizes, "--out", "t.json"], tmp_path) == 2
+    assert capsys.readouterr().err == f"error: {refused}\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, refused", [
     (["synth", "--mode", "toy", "--layers", "1", "--heads", "1", "--dim", "4",
       "--vocab", "64", "--seq", "2", "--out", "t.json"], "toy embedding of shape (64, 4)"),

@@ -19,7 +19,6 @@ from kvbudget import (
     ValidationError,
     compute_importance,
     forward_trace,
-    gini,
     layer_stats,
     load_trace,
     priority_sequence,
@@ -328,6 +327,29 @@ def test_validate_checks_kv_consistency():
         broken.validate()
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"attention": True, "importance": True},
+     "trace must carry exactly one of attention or importance"),
+    ({}, "trace must carry exactly one of attention or importance"),
+    ({"importance": np.ones((2, 3))}, "importance has shape (2, 3), expected (2, 4)"),
+    ({"attention": True, "keys": True}, "keys and values must both be present or both absent"),
+    ({"attention": True, "keys": np.ones((2, 1, 3, 16)), "values": np.ones((2, 1, 3, 16))},
+     "keys have shape (2, 1, 3, 16), expected (L, H, N, d) = (2, 1, 4, d)"),
+    ({"attention": True, "features": np.ones((2, 3, 5))},
+     "features have shape (2, 3, 5), expected (L, N, f) = (2, 4, f)"),
+], ids=["both-payloads", "no-payload", "importance-shape", "keys-without-values",
+        "keys-shape", "features-shape"])
+def test_validate_refuses_fields_of_the_wrong_form(fields, message):
+    trace = synth_trace(2, 1, 4, [1.0, 1.0], seed=0, with_kv=True)
+    # True stands for the valid array of that name from the synthetic trace.
+    arrays = {"attention": trace.attention, "importance": compute_importance(trace).raw,
+              "keys": trace.keys}
+    fields = {name: arrays[name] if value is True else value for name, value in fields.items()}
+    with pytest.raises(ValidationError) as raised:
+        AttentionTrace(meta=trace.meta, **fields).validate()
+    assert str(raised.value) == message
+
+
 def test_full_trace_helper_rejects_bad_rows():
     with pytest.raises(ValidationError):
         full_trace([[0.5, 0.5], [0.6, 0.4]])
@@ -458,6 +480,16 @@ def test_npz_meta_must_be_a_json_string(tmp_path, meta, message):
     np.savez(path, importance=np.ones((1, 2)), **meta)
     with pytest.raises(ParseError, match=re.escape(message)):
         load_trace(path)
+
+
+def test_npz_member_of_an_unread_npy_version_is_refused(tmp_path):
+    path = tmp_path / "t.npz"
+    with zipfile.ZipFile(path, "w") as archive:
+        with archive.open("importance.npy", "w") as member:
+            np.lib.format.write_array(member, np.ones((1, 2)), version=(3, 0))
+    with pytest.raises(ParseError) as raised:
+        load_trace(path)
+    assert str(raised.value) == "member 'importance.npy' has .npy version (3, 0)"
 
 
 def test_meta_rejects_bool_counts(tmp_path):
