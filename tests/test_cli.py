@@ -411,7 +411,8 @@ class TestGoldenOutputs:
     token counts and decode capacity became ``max(floor, count * t // N)``,
     which moves the baseline cells of ``compare``. The others were
     recorded before the ranking, the CSV writer and the replay path each
-    got a single implementation.
+    got a single implementation. The 8-head toy digests were recorded
+    before toy decode moved onto the shared decode kernel.
     """
 
     LOG = {
@@ -441,10 +442,16 @@ class TestGoldenOutputs:
     COMPARE = {
         "trace": "b8f82d042ba92acad40f86805606bab72d4f49558982f9dbe6c570d8fd0ae38b",
         "toy": "b47257b64ccc12967428f63b30cf3c92f9523361c901a61025b22e1be3e9edb2",
+        "toy-heads-8": "9be2d557877cc6b3b1e75af9c922b0ee0ec2d1868a02a3dfd2210757f5373323",
     }
     DISTURBANCE = "99b8ef1ffa9097867489cf67f30bc342a3000d9b2586636e88b44cd967b8a3f8"
+    DISTURBANCE_HEADS_8 = "5677ce45afe4b7bfb1a727bfb2716c9acf9342bce33d34e7eedecc489744de2c"
     TOY = ["--toy-seed", "4", "--toy-layers", "2", "--toy-heads", "2", "--toy-dim", "8",
            "--toy-vocab", "32", "--prompt-len", "16"]
+    # From 8 heads on, numpy sums a head axis pairwise or one head after
+    # another depending on memory order, so 8 heads pin the toy decode's
+    # reductions where 2 cannot.
+    TOY_HEADS_8 = [*TOY[:4], "--toy-heads", "8", "--toy-dim", "16", *TOY[8:]]
 
     @pytest.fixture
     def trace(self, tmp_path):
@@ -473,10 +480,11 @@ class TestGoldenOutputs:
         assert run(["plan", "--budget", "0.3", *flags, *traces], tmp_path) == 0
         assert _digest(tmp_path / "config.json") == self.PLAN[flags]
 
-    @pytest.mark.parametrize("kind", ["trace", "toy"])
+    @pytest.mark.parametrize("kind", ["trace", "toy", "toy-heads-8"])
     def test_compare_digests(self, tmp_path, trace, kind):
+        toy = self.TOY_HEADS_8 if kind == "toy-heads-8" else self.TOY
         source = (["--steps", "4", "t.json"] if kind == "trace"
-                  else [*self.TOY, "--decode-len", "3", "--runs", "2"])
+                  else [*toy, "--decode-len", "3", "--runs", "2"])
         assert run(["compare", "--budgets", "0.2,50%", "--merge", "none,position",
                     *source], tmp_path) == 0
         assert _digest(tmp_path / "compare.csv") == self.COMPARE[kind]
@@ -485,6 +493,11 @@ class TestGoldenOutputs:
         assert run(["simulate", *self.TOY, "--budget", "0.4", "--steps", "4", "--disturb",
                     "--merge", "feature"], tmp_path) == 0
         assert _digest(tmp_path / "disturbance.csv") == self.DISTURBANCE
+
+    def test_disturbance_digest_at_8_heads(self, tmp_path):
+        assert run(["simulate", *self.TOY_HEADS_8, "--budget", "0.4", "--steps", "4",
+                    "--disturb", "--merge", "feature"], tmp_path) == 0
+        assert _digest(tmp_path / "disturbance.csv") == self.DISTURBANCE_HEADS_8
 
 
 class TestCompare:
