@@ -14,8 +14,10 @@ merged away.
 
 The live entries of all layers sit in layer-major arrays, in ascending
 position order within a layer. One batched kernel checks, folds in and
-evicts a step on every layer at once; ``replay_steps`` feeds it gathered
-trace rows and ``CacheState.decode_step`` the rows a toy model computes.
+evicts a step on every layer at once. ``CacheState._step`` is its one
+entry: ``replay_steps`` feeds it gathered trace rows, toy ``decode`` the
+rows it computes over key/value views of the cache, and
+``CacheState.decode_step`` the rows any caller passes.
 
 A CacheState is a single-writer object; independent simulations may run
 in parallel on separate states.
@@ -254,10 +256,33 @@ class CacheState:
             if l:  # a fault in an earlier layer is reported first
                 self._check_step(self._pack(rows[:l]), kv)
             raise fault
-        block = self._pack(rows)
-        self._check_step(block, kv)
         heads_contiguous = all(r.strides[0] == r.itemsize for r in rows)
+        return self._step(self._pack(rows), kv, heads_contiguous)
+
+    def _step(self, block: np.ndarray, kv, heads_contiguous: bool) -> dict:
+        """Check a zero-padded (slots, H, layers) step block, then apply and log it.
+
+        The one entry into the decode kernel: ``decode_step``, trace replay
+        and toy decode all end here. ``kv`` holds each layer's (2, H, d)
+        pair, or is None; ``heads_contiguous`` picks the head sum's order
+        (see ``_head_mean``).
+        """
+        self._check_step(block, kv)
         return self._advance(_head_mean(block, heads_contiguous), kv)
+
+    def _kv_slot(self, layer: int, pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Write a layer's new (2, H, d) pair into its free slot ``n``; return
+        (H, n + 1, d) views of the keys and values there.
+
+        A slot past the live count is not observable state, so a step
+        rejected afterwards still leaves the state as it was.
+        """
+        n = int(self._n[layer])
+        block = self._kv[layer]
+        if n == block.shape[2]:
+            block = self._kv[layer] = _padded(block, 2, n)
+        block[:, :, n] = pair
+        return block[0, :, :n + 1], block[1, :, :n + 1]
 
     def _pack(self, rows: list[np.ndarray]) -> np.ndarray:
         """Per-layer (H, n_l + 1) rows as one zero-padded (slots, H, layers) block.
@@ -440,8 +465,9 @@ def prefill_compress(
     state = CacheState(config, profile, protect_distance=protect_distance,
                        merge_policy=merge_policy)
     state.current_len = N
-    for l in range(config.layers):
-        count = int(config.token_counts[l])
+    # Kept positions ascend within [0, N) by construction, so the rows are
+    # written here without set_layer's checks.
+    for l, count in enumerate(config.token_counts.tolist()):
         if config.policy == "local":
             sinks = min(config.sink_count or 0, count)
             keep = np.concatenate((np.arange(sinks), np.arange(N - count + sinks, N)))
@@ -450,9 +476,28 @@ def prefill_compress(
         dropped = np.ones(N, dtype=bool)
         dropped[keep] = False
         state.hard_evicted[l] = np.flatnonzero(dropped).tolist()
-        kv = () if trace.keys is None else (trace.keys[l][:, keep], trace.values[l][:, keep])
-        state.set_layer(l, keep, profile.raw[l][keep], *kv)
+        state._reserve(count + 1)
+        state._n[l] = count
+        state._pos[l, :count] = keep
+        state._acc[l, :count] = profile.raw[l][keep]
+        if trace.keys is not None:
+            state._kv[l] = _gathered_kv(trace, l, keep)
     return state
+
+
+def _gathered_kv(trace: AttentionTrace, layer: int, keep: np.ndarray) -> np.ndarray:
+    """A layer's key and value vectors at ``keep`` as one (2, H, slots, d) block.
+
+    One gather per array: ``_padded`` sizes the index, and with it the
+    block, as it sizes every block; slots past ``keep`` repeat position
+    0's vectors, which no live entry reads.
+    """
+    index = _padded(keep, 0, len(keep), 0)
+    keys, values = (np.asarray(a[layer], dtype=float) for a in (trace.keys, trace.values))
+    block = np.empty((2, keys.shape[0], len(index), keys.shape[2]))
+    keys.take(index, 1, block[0], "clip")
+    values.take(index, 1, block[1], "clip")
+    return block
 
 
 def full_cache_state(trace: AttentionTrace,
@@ -624,8 +669,7 @@ def replay_steps(trace: AttentionTrace, state: CacheState, steps: int) -> None:
         kv = None
         if trace.keys is not None:
             kv = np.stack((trace.keys[:, :, m], trace.values[:, :, m]), axis=1)
-        state._check_step(block, kv)
-        state._advance(_head_mean(block, heads_contiguous=True), kv)
+        state._step(block, kv, heads_contiguous=True)
 
 
 def disturbance(

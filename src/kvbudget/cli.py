@@ -508,7 +508,9 @@ def _recorded_args(command, params: dict) -> argparse.Namespace:
 # parser
 # --------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="kvbudget",
                      description="Layer-adaptive KV cache retention budgets")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -189,37 +189,38 @@ def decode(
 
     # The first generated token comes from the prompt's final logits,
     # which compression (applied after prefill) does not affect.
-    next_id = int(np.argmax(trace.features[-1, -1] @ model.unembedding))
-    if forced_tokens is not None:
+    if forced_tokens is None:
+        next_id = int(np.argmax(trace.features[-1, -1] @ model.unembedding))
+    else:
         next_id = int(forced_tokens[0])
 
     tokens = np.zeros(steps, dtype=np.int64)
     features = np.zeros((steps, L, model.dim))
     for t in range(steps):
         x = model.embedding[next_id]
-        rows = []
-        kv = []
+        n = state._n.tolist()
+        # Each layer's row goes into a zero-padded block laid out as
+        # CacheState._pack lays out C-ordered rows: heads outermost.
+        block = np.zeros((H, max(n) + 1, L))
+        kv = np.empty((L, 2, H, hd))
         for l in range(L):
             q = (x @ model.w_query[l]).reshape(H, hd)
-            k_new = (x @ model.w_key[l]).reshape(H, hd)
-            v_new = (x @ model.w_value[l]).reshape(H, hd)
-            k_live, v_live = state.live_kv(l)
-            k_all = np.concatenate((k_live, k_new[:, None]), axis=1)  # (H, n+1, hd)
-            v_all = np.concatenate((v_live, v_new[:, None]), axis=1)
-            logits = model.logit_gains[l] * np.einsum("hd,hnd->hn", q, k_all) / np.sqrt(hd)
+            kv[l, 0] = (x @ model.w_key[l]).reshape(H, hd)
+            kv[l, 1] = (x @ model.w_value[l]).reshape(H, hd)
+            keys, values = state._kv_slot(l, kv[l])  # (H, n + 1, hd) views
+            logits = model.logit_gains[l] * np.einsum("hd,hnd->hn", q, keys) / np.sqrt(hd)
             logits -= logits.max(axis=-1, keepdims=True)
             row = np.exp(logits)
             row /= row.sum(axis=-1, keepdims=True)
-            out = np.einsum("hn,hnd->hd", row, v_all).reshape(model.dim)
+            block[:, :n[l] + 1, l] = row
+            out = np.einsum("hn,hnd->hd", row, values).reshape(model.dim)
             x = x + out @ model.w_output[l]
             features[t, l] = x
-            rows.append(row)
-            kv.append((k_new, v_new))
-        state.decode_step(rows, kv)
+        # A C-ordered (H, n + 1) row has contiguous heads only when n is 0,
+        # which is how decode_step would order the head sum.
+        state._step(block.transpose(1, 0, 2), kv, heads_contiguous=max(n) == 0)
         tokens[t] = next_id
-        generated = int(np.argmax(x @ model.unembedding))
-        if forced_tokens is not None and t + 1 < steps:
-            next_id = int(forced_tokens[t + 1])
-        else:
-            next_id = generated
+        if t + 1 < steps:
+            next_id = (int(np.argmax(x @ model.unembedding)) if forced_tokens is None
+                       else int(forced_tokens[t + 1]))
     return tokens, features

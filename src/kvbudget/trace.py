@@ -284,16 +284,17 @@ def synth_trace(
     for name, size in (("layers", layers), ("heads", heads), ("seq_len", seq_len)):
         if not _is_int(size):
             raise UsageError(f"{name} must be an integer, got {size!r}")
-    conc = np.asarray(concentration, dtype=float)
-    if conc.shape != (layers,):
-        raise UsageError(f"concentration must have length {layers}, got shape {conc.shape}")
-    if not np.all((conc > 0) & (conc < np.inf)):
-        raise UsageError("concentration values must be positive and finite")
     if not _is_int(seed) or seed < 0:
         raise UsageError(f"seed must be nonnegative, got {seed}")
-
+    # The meta refuses a non-positive size before the concentration is
+    # measured against it.
     meta = TraceMeta(layers=layers, heads=heads, seq_len=seq_len, label=label, seed=seed)
     L, H, N = meta.layers, meta.heads, meta.seq_len
+    conc = np.asarray(concentration, dtype=float)
+    if conc.shape != (L,):
+        raise UsageError(f"concentration must have length {L}, got shape {conc.shape}")
+    if not np.all((conc > 0) & (conc < np.inf)):
+        raise UsageError("concentration values must be positive and finite")
     _check_size("attention", (L, H, N, N))
     if with_kv:
         _check_size("keys", (L, H, N, SYNTH_KV_DIM))

@@ -21,7 +21,7 @@ from kvbudget import (
     save_trace,
 )
 from kvbudget.allocator import _search
-from kvbudget.cli import _recorded_args, main, parse_budget
+from kvbudget.cli import _recorded_args, build_parser, main, parse_budget
 
 
 def run(args, cwd):
@@ -448,9 +448,10 @@ class TestGoldenOutputs:
     DISTURBANCE_HEADS_8 = "5677ce45afe4b7bfb1a727bfb2716c9acf9342bce33d34e7eedecc489744de2c"
     TOY = ["--toy-seed", "4", "--toy-layers", "2", "--toy-heads", "2", "--toy-dim", "8",
            "--toy-vocab", "32", "--prompt-len", "16"]
-    # From 8 heads on, numpy sums a head axis pairwise or one head after
-    # another depending on memory order, so 8 heads pin the toy decode's
-    # reductions where 2 cannot.
+    # From 8 heads on, a head sum taken pairwise and one taken head after
+    # head (numpy picks by memory order) can differ in the last bit; 2 heads
+    # never get there. Outputs see those bits only through eviction ties,
+    # so tests/test_decode_kernel.py compares the accumulators themselves.
     TOY_HEADS_8 = [*TOY[:4], "--toy-heads", "8", "--toy-dim", "16", *TOY[8:]]
 
     @pytest.fixture
@@ -519,6 +520,23 @@ class TestCompare:
     def test_empty_budget_list_is_usage_error(self, tmp_path, dirichlet_trace):
         assert run(["compare", "--budgets", ",", "--out", "x.csv", "t.json"],
                    tmp_path) == 1
+
+    def test_a_run_after_another_command_writes_what_a_fresh_run_writes(self, tmp_path):
+        # The parser is built once per process and shared by every run in it.
+        toy = TestGoldenOutputs.TOY
+        compare = ["compare", "--budgets", "0.2", "--policies", "prefixkv,local", *toy,
+                   "--decode-len", "2", "--runs", "1"]
+        fresh, after = tmp_path / "fresh", tmp_path / "after"
+        fresh.mkdir()
+        after.mkdir()
+        build_parser.cache_clear()
+        assert run(compare, fresh) == 0
+        assert run(["simulate", *toy, "--budget", "0.4", "--steps", "2", "--policy", "local",
+                    "--sink", "1", "--merge", "feature", "--protect", "2"], after) == 0
+        assert run(compare, after) == 0
+        assert build_parser.cache_info().misses == 1
+        for name in ("compare.csv", "compare.csv.manifest.json"):
+            assert (after / name).read_bytes() == (fresh / name).read_bytes()
 
     def test_toy_mode_reports_mae(self, tmp_path):
         assert run(["compare", "--budgets", "0.5", "--policies", "prefixkv,uniform",

@@ -6,6 +6,10 @@ one array-backed cache per layer, checked and updated one layer at a
 time. The properties require bit-identical accumulators, key/value
 vectors, positions, merge lists, hard evictions and step logs after every
 step, and the same exception type and message for faulty steps.
+``reference_decode`` and ``reference_prefill`` are the toy decode loop
+and the prefill that went through the public, checked entry points
+(``decode_step``, ``set_layer``); ``decode`` and ``prefill_compress``
+must leave the same state.
 
 Two reductions are sensitive to summation order. A replayed row gathered
 per layer is F-ordered (heads contiguous): numpy sums it sequentially
@@ -15,6 +19,8 @@ from 8 heads on. Toy-model rows are C-ordered, so their head sum is
 sequential. The head counts below straddle both limits.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,10 +28,14 @@ from hypothesis import strategies as st
 
 from kvbudget import (
     BudgetSpec,
+    CacheState,
     MismatchError,
+    ToyModel,
     ValidationError,
     baseline_config,
     compute_importance,
+    decode,
+    forward_trace,
     plan_online,
     prefill_compress,
     priority_sequence,
@@ -262,7 +272,9 @@ def state_view(state):
     layers = []
     for l in range(state.layers):
         entries = state.layer_caches[l]
-        kv = np.ascontiguousarray(np.stack(state.live_kv(l))).tobytes()
+        kv = None
+        if state._kv[l] is not None:
+            kv = np.ascontiguousarray(np.stack(state.live_kv(l))).tobytes()
         layers.append((state.live_positions(l),
                        np.array([e.importance_acc for e in entries]).tobytes(), kv,
                        [e.merged_from for e in entries]))
@@ -388,3 +400,132 @@ def test_faulty_steps_raise_like_the_reference(merge, layers, heads, n0, seed, f
     assert type(got.value) is type(expected.value)
     assert str(got.value) == str(expected.value)
     assert state_view(state) == before
+
+
+def reference_decode(model, trace, steps, state, forced_tokens=None):
+    """Toy decode through the public step: live_kv, one concatenate per layer, decode_step."""
+    L, H, hd = model.layers, model.heads, model.head_dim
+    next_id = int(np.argmax(trace.features[-1, -1] @ model.unembedding))
+    if forced_tokens is not None:
+        next_id = int(forced_tokens[0])
+    tokens = np.zeros(steps, dtype=np.int64)
+    features = np.zeros((steps, L, model.dim))
+    for t in range(steps):
+        x = model.embedding[next_id]
+        rows = []
+        kv = []
+        for l in range(L):
+            q = (x @ model.w_query[l]).reshape(H, hd)
+            k_new = (x @ model.w_key[l]).reshape(H, hd)
+            v_new = (x @ model.w_value[l]).reshape(H, hd)
+            k_live, v_live = state.live_kv(l)
+            k_all = np.concatenate((k_live, k_new[:, None]), axis=1)
+            v_all = np.concatenate((v_live, v_new[:, None]), axis=1)
+            logits = model.logit_gains[l] * np.einsum("hd,hnd->hn", q, k_all) / np.sqrt(hd)
+            logits -= logits.max(axis=-1, keepdims=True)
+            row = np.exp(logits)
+            row /= row.sum(axis=-1, keepdims=True)
+            out = np.einsum("hn,hnd->hd", row, v_all).reshape(model.dim)
+            x = x + out @ model.w_output[l]
+            features[t, l] = x
+            rows.append(row)
+            kv.append((k_new, v_new))
+        state.decode_step(rows, kv)
+        tokens[t] = next_id
+        generated = int(np.argmax(x @ model.unembedding))
+        if forced_tokens is not None and t + 1 < steps:
+            next_id = int(forced_tokens[t + 1])
+        else:
+            next_id = generated
+    return tokens, features
+
+
+def planned(policy, budget, profile):
+    if policy == "prefixkv":
+        return plan_online(priority_sequence(profile), budget)
+    return baseline_config(policy, budget, profile.meta,
+                           sink_count=SINKS if policy == "local" else None)
+
+
+@pytest.mark.parametrize("merge", MERGES)
+@pytest.mark.parametrize("policy", POLICIES)
+@settings(max_examples=15, deadline=None)
+@given(
+    layers=st.integers(1, 3),
+    heads=st.sampled_from(HEADS),
+    head_dim=st.integers(1, 3),
+    n0=st.integers(5, 20),
+    steps=st.integers(1, 8),
+    r=st.sampled_from([0.2, 0.5, 1.0]),
+    floor=st.integers(0, 1),
+    empty=st.booleans(),
+    protect=st.integers(1, 4),
+    seed=st.integers(0, 2**31 - 1),
+    forced=st.booleans(),
+)
+def test_toy_decode_matches_the_public_step(policy, merge, layers, heads, head_dim, n0, steps,
+                                           r, floor, empty, protect, seed, forced):
+    model = ToyModel(layers=layers, heads=heads, dim=heads * head_dim, vocab=32, seed=seed)
+    rng = np.random.default_rng(seed)
+    trace = forward_trace(model, rng.integers(0, model.vocab, n0))
+    profile = compute_importance(trace)
+    config = planned(policy, BudgetSpec(r=r, min_tokens_per_layer=floor), profile)
+    if empty:  # every layer starts with no entries, so the first rows have one entry each
+        config = dataclasses.replace(config, token_counts=np.zeros(layers, dtype=np.int64))
+    state, ref = (prefill_compress(trace, config, protect_distance=protect, merge_policy=merge,
+                                   profile=profile) for _ in range(2))
+    forced_tokens = rng.integers(0, model.vocab, steps) if forced else None
+    tokens, features = decode(model, trace, steps, state, forced_tokens=forced_tokens)
+    ref_tokens, ref_features = reference_decode(model, trace, steps, ref, forced_tokens)
+    assert tokens.tobytes() == ref_tokens.tobytes()
+    assert features.tobytes() == ref_features.tobytes()
+    assert state_view(state) == state_view(ref)
+
+
+def reference_prefill(trace, config, protect, merge, profile):
+    """prefill_compress through the checked set_layer, one layer at a time."""
+    N = trace.meta.seq_len
+    state = CacheState(config, profile, protect_distance=protect, merge_policy=merge)
+    state.current_len = N
+    for l in range(config.layers):
+        count = int(config.token_counts[l])
+        if config.policy == "local":
+            sinks = min(config.sink_count or 0, count)
+            keep = np.concatenate((np.arange(sinks), np.arange(N - count + sinks, N)))
+        else:
+            keep = np.sort(profile.order[l][:count])
+        dropped = np.ones(N, dtype=bool)
+        dropped[keep] = False
+        state.hard_evicted[l] = np.flatnonzero(dropped).tolist()
+        kv = () if trace.keys is None else (trace.keys[l][:, keep], trace.values[l][:, keep])
+        state.set_layer(l, keep, profile.raw[l][keep], *kv)
+    return state
+
+
+@pytest.mark.parametrize("with_kv", [False, True], ids=["no-kv", "kv"])
+@pytest.mark.parametrize("policy", POLICIES)
+@settings(max_examples=30, deadline=None)
+@given(
+    layers=st.integers(1, 4),
+    heads=st.sampled_from(HEADS),
+    n0=st.integers(1, 30),
+    seed=st.integers(0, 2**31 - 1),
+    data=st.data(),
+)
+def test_prefill_matches_set_layer(policy, with_kv, layers, heads, n0, seed, data):
+    # Two more rows than the prefill, so both states can take two replayed steps.
+    trace = synth_trace(layers, heads, n0 + 2, [0.5] * layers, seed=seed, with_kv=with_kv)
+    prefix = trace_prefix(trace, n0)
+    profile = compute_importance(prefix)
+    count = st.one_of(st.just(0), st.just(n0), st.integers(0, n0))
+    counts = np.array(data.draw(st.lists(count, min_size=layers, max_size=layers)))
+    merge = data.draw(st.sampled_from(MERGES if with_kv else MERGES[:2]))
+    config = dataclasses.replace(planned(policy, BudgetSpec(r=1.0), profile),
+                                 token_counts=counts)
+    state = prefill_compress(prefix, config, protect_distance=1, merge_policy=merge,
+                             profile=profile)
+    ref = reference_prefill(prefix, config, 1, merge, profile)
+    assert state_view(state) == state_view(ref)
+    replay_steps(trace, state, 2)
+    replay_steps(trace, ref, 2)
+    assert state_view(state) == state_view(ref)

@@ -133,8 +133,8 @@ class TestDecode:
             assert feats.shape == (5, model.layers, model.dim)
 
     def test_attention_rows_renormalized_over_live_cache(self, model):
-        # decode_step validates row sums; a compressed decode completing
-        # means every row over the live set summed to 1.
+        # The decode kernel's _check_step validates row sums; a compressed
+        # decode completing means every row over the live set summed to 1.
         prompt = prompt_for(model)
         trace = forward_trace(model, prompt)
         seq = priority_sequence(compute_importance(trace))

@@ -247,6 +247,14 @@ class TestSynth:
         with pytest.raises(UsageError, match=f"{size} must be an integer, got {value}"):
             synth_trace(**sizes, concentration=[1.0], seed=0)
 
+    @pytest.mark.parametrize("layers", [0, -3])
+    def test_non_positive_layers_are_refused_by_the_meta(self, layers):
+        # -3 used to be measured against the concentration first, and
+        # raised "concentration must have length -3".
+        with pytest.raises(ValidationError,
+                           match=f"meta.layers must be a positive integer, got {layers}"):
+            synth_trace(layers, 1, 4, [], seed=0)
+
     def test_rows_that_underflow_attend_to_themselves(self):
         # At this concentration every gamma draw underflows to 0, so each
         # row would sum to 0; the guard puts its whole mass on the diagonal.
