@@ -18,7 +18,6 @@ from .allocator import (
     finalize_config,
     load_config,
     plan_online,
-    ratio_at_threshold,
     save_config,
 )
 from .cachesim import (
@@ -101,7 +100,6 @@ __all__ = [
     "plan_online",
     "prefill_compress",
     "priority_sequence",
-    "ratio_at_threshold",
     "replay_steps",
     "retained_info",
     "save_config",

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BudgetError, MismatchError, ParseError, UsageError
 from .importance import PrioritySequence
-from .trace import TraceMeta, _check_layer, _is_int, _read_json_object
+from .trace import TraceMeta, _is_int, _read_json_object
 
 POLICIES = ("prefixkv", "uniform", "pyramid", "local")
 OFFLINE_METHODS = ("per-sample-mean", "pooled-curve")
@@ -106,23 +106,6 @@ class PrefixConfiguration:
     @property
     def layers(self) -> int:
         return len(self.token_counts)
-
-
-def ratio_at_threshold(seq: PrioritySequence, layer: int, p: float) -> float:
-    """Smallest prefix size ratio whose cumulative priority reaches p.
-
-    p = 0 maps to the empty prefix (ratio 0); if rounding noise leaves
-    every cumulative value below p, the full prefix is returned.
-    """
-    _check_layer(layer, seq.meta.layers)
-    if not 0.0 <= p <= 1.0:
-        raise UsageError(f"threshold must be in [0, 1], got {p}")
-    return float(_ratios_at(seq.cumulative[layer : layer + 1], p)[0])
-
-
-def _ratios_at(cumulative: np.ndarray, p: float) -> np.ndarray:
-    """Per-layer prefix ratios at threshold p for an (L, N) cumulative matrix."""
-    return _counts_at(cumulative, p) / cumulative.shape[1]
 
 
 def _counts_at(cumulative: np.ndarray, p: float) -> np.ndarray:

@@ -188,6 +188,15 @@ class CacheState:
             keys, values = np.asarray(keys, dtype=float), np.asarray(values, dtype=float)
             if keys.ndim != 3 or keys.shape[1] != len(positions) or values.shape != keys.shape:
                 raise UsageError("keys and values must have shape (heads, positions, dim)")
+        self._fill(layer, positions, importance,
+                   None if keys is None else _padded(np.stack((keys, values)), 2, len(positions)))
+
+    def _fill(self, layer: int, positions: np.ndarray, importance: np.ndarray, kv) -> None:
+        """Make ``positions`` a layer's live entries, unchecked: the one layer writer.
+
+        ``importance`` seeds their accumulators and ``kv`` is the layer's
+        (2, H, slots, d) key/value block, or None; absorbed positions reset.
+        """
         n = len(positions)
         self._reserve(n + 1)
         self._n[layer] = n
@@ -195,7 +204,7 @@ class CacheState:
         self._pos[layer, :n] = positions
         self._acc[layer] = 0.0
         self._acc[layer, :n] = importance
-        self._kv[layer] = None if keys is None else _padded(np.stack((keys, values)), 2, n)
+        self._kv[layer] = kv
         self._merged[layer] = {}
 
     def _capacities(self) -> list[int]:
@@ -270,19 +279,20 @@ class CacheState:
         self._check_step(block, kv)
         return self._advance(_head_mean(block, heads_contiguous), kv)
 
-    def _kv_slot(self, layer: int, pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Write a layer's new (2, H, d) pair into its free slot ``n``; return
-        (H, n + 1, d) views of the keys and values there.
+    def _kv_slot(self, layer: int, pair: np.ndarray) -> np.ndarray:
+        """Write a layer's new (2, H, d) pair into its free slot ``n``, growing
+        the block when it is full; return the layer's (2, H, slots, d) block.
 
-        A slot past the live count is not observable state, so a step
-        rejected afterwards still leaves the state as it was.
+        The one key/value appender. A slot past the live count is not
+        observable state, so a step rejected afterwards still leaves the
+        state as it was.
         """
         n = int(self._n[layer])
         block = self._kv[layer]
         if n == block.shape[2]:
             block = self._kv[layer] = _padded(block, 2, n)
         block[:, :, n] = pair
-        return block[0, :, :n + 1], block[1, :, :n + 1]
+        return block
 
     def _pack(self, rows: list[np.ndarray]) -> np.ndarray:
         """Per-layer (H, n_l + 1) rows as one zero-padded (slots, H, layers) block.
@@ -354,18 +364,15 @@ class CacheState:
     def _accumulate(self, received: np.ndarray, kv) -> None:
         """Fold the head mean into every accumulator and append the new token."""
         n = self._n
-        slots = n.tolist()
         # Slot n[l] still holds 0, so it takes the new token's mean as is.
         self._acc[:, :len(received)] += received.T
         self._pos[self._layer_index, n] = self.current_len
         if kv is not None:
-            for l, (cached, slot) in enumerate(zip(self._kv, slots)):
-                if slot == cached.shape[2]:
-                    cached = self._kv[l] = _padded(cached, 2, slot)
-                cached[:, :, slot] = kv[l]
+            for l, pair in enumerate(kv):
+                self._kv_slot(l, pair)
         n += 1
         self.current_len += 1
-        self._reserve(max(slots) + 2)
+        self._reserve(max(n.tolist()) + 1)
 
     def _enforce_capacity(self) -> list[dict]:
         """Evict until every layer fits its capacity or has nothing in reach."""
@@ -465,8 +472,8 @@ def prefill_compress(
     state = CacheState(config, profile, protect_distance=protect_distance,
                        merge_policy=merge_policy)
     state.current_len = N
-    # Kept positions ascend within [0, N) by construction, so the rows are
-    # written here without set_layer's checks.
+    # Kept positions ascend within [0, N) by construction, so each layer is
+    # filled without set_layer's checks.
     for l, count in enumerate(config.token_counts.tolist()):
         if config.policy == "local":
             sinks = min(config.sink_count or 0, count)
@@ -476,12 +483,8 @@ def prefill_compress(
         dropped = np.ones(N, dtype=bool)
         dropped[keep] = False
         state.hard_evicted[l] = np.flatnonzero(dropped).tolist()
-        state._reserve(count + 1)
-        state._n[l] = count
-        state._pos[l, :count] = keep
-        state._acc[l, :count] = profile.raw[l][keep]
-        if trace.keys is not None:
-            state._kv[l] = _gathered_kv(trace, l, keep)
+        state._fill(l, keep, profile.raw[l][keep],
+                    None if trace.keys is None else _gathered_kv(trace, l, keep))
     return state
 
 

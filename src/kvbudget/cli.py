@@ -222,8 +222,11 @@ class _Run:
         return baseline_config(policy, budget, self.prefill.meta, sink_count=sink)
 
     def compress(self, config, protect: int, merge: str):
-        return prefill_compress(self.prefill, config, protect_distance=protect,
-                                merge_policy=merge, profile=self.profile)
+        """A compressed prefill whose decode steps log no retained info."""
+        state = prefill_compress(self.prefill, config, protect_distance=protect,
+                                 merge_policy=merge, profile=self.profile)
+        state.report_profile = None
+        return state
 
     def advance(self, state, steps: int) -> None:
         if self.model is None:
@@ -233,8 +236,9 @@ class _Run:
 
     def reference(self, steps: int):
         """Full-cache toy decode: the ``(tokens, features)`` disturbance compares against."""
-        return decode(self.model, self.trace, steps,
-                      full_cache_state(self.trace, profile=self.profile))
+        state = full_cache_state(self.trace, profile=self.profile)
+        state.report_profile = None
+        return decode(self.model, self.trace, steps, state)
 
 
 def _trace_run(trace: AttentionTrace, steps: int) -> _Run:
@@ -368,7 +372,9 @@ def run_simulate(args: argparse.Namespace) -> list[str]:
         config = run.plan(args.policy, _budget_from_args(args, parse_budget(args.budget)),
                           args.sink)
     state = run.compress(config, args.protect, args.merge)
-    prefill_info = retained_info(state, state.report_profile)
+    # Only this run's steps are logged; sim.jsonl and the info CSV read them.
+    state.report_profile = run.profile
+    prefill_info = retained_info(state, run.profile)
     if args.steps > 0:
         run.advance(state, args.steps)
 
@@ -394,7 +400,7 @@ def _compare_cell(run: _Run, reference, config, args: argparse.Namespace,
     state = run.compress(config, args.protect, mode)
     if reference is None and args.steps:
         run.advance(state, args.steps)
-    info = retained_info(state, state.report_profile)
+    info = retained_info(state, run.profile)
     cell = [float(info.min()), float(info.mean())]
     if reference is not None:
         cell.append(float(disturbance(run.model, run.trace, reference, state).mean()))

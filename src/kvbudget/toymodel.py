@@ -199,15 +199,13 @@ def decode(
     for t in range(steps):
         x = model.embedding[next_id]
         n = state._n.tolist()
-        # Each layer's row goes into a zero-padded block laid out as
-        # CacheState._pack lays out C-ordered rows: heads outermost.
         block = np.zeros((H, max(n) + 1, L))
         kv = np.empty((L, 2, H, hd))
         for l in range(L):
             q = (x @ model.w_query[l]).reshape(H, hd)
             kv[l, 0] = (x @ model.w_key[l]).reshape(H, hd)
             kv[l, 1] = (x @ model.w_value[l]).reshape(H, hd)
-            keys, values = state._kv_slot(l, kv[l])  # (H, n + 1, hd) views
+            keys, values = state._kv_slot(l, kv[l])[:, :, :n[l] + 1]
             logits = model.logit_gains[l] * np.einsum("hd,hnd->hn", q, keys) / np.sqrt(hd)
             logits -= logits.max(axis=-1, keepdims=True)
             row = np.exp(logits)
@@ -216,9 +214,7 @@ def decode(
             out = np.einsum("hn,hnd->hd", row, values).reshape(model.dim)
             x = x + out @ model.w_output[l]
             features[t, l] = x
-        # A C-ordered (H, n + 1) row has contiguous heads only when n is 0,
-        # which is how decode_step would order the head sum.
-        state._step(block.transpose(1, 0, 2), kv, heads_contiguous=max(n) == 0)
+        state._step(block.transpose(1, 0, 2), kv, heads_contiguous=False)
         tokens[t] = next_id
         if t + 1 < steps:
             next_id = (int(np.argmax(x @ model.unembedding)) if forced_tokens is None

@@ -24,7 +24,6 @@ from kvbudget import (
     load_config,
     plan_online,
     priority_sequence,
-    ratio_at_threshold,
     save_config,
     synth_trace,
     TraceMeta,
@@ -32,8 +31,8 @@ from kvbudget import (
     layer_stats,
 )
 
-from kvbudget.allocator import (OFFLINE_METHODS, _apportion, _ratios_at, _resample_cumulative,
-                                _search, config_from_dict, config_to_dict)
+from kvbudget.allocator import (OFFLINE_METHODS, _apportion, _resample_cumulative, _search,
+                                config_from_dict, config_to_dict)
 from conftest import seq_from_importance
 
 
@@ -78,7 +77,7 @@ def unique_bracket_search(cumulative, r, delta_tol, max_steps):
     evaluated = []
 
     def evaluate(p):
-        delta = float(_ratios_at(cumulative, p).sum() - target)
+        delta = sum(scan_ratio_oracle(row, p) for row in cumulative) - target
         evaluated.append((abs(delta), 0 if delta < 0 else 1, len(evaluated), p, delta))
         return delta
 
@@ -185,38 +184,6 @@ def test_budget_counts_must_be_integers_in_range(two_layer_seq, field, value):
     else:
         with pytest.raises(BudgetError, match=f"{field} must be a"):
             BudgetSpec(r=0.3, **{field: value})
-
-
-class TestRatioAtThreshold:
-    def test_scan_example(self, two_layer_seq):
-        assert ratio_at_threshold(two_layer_seq, 0, 0.7) == 0.25
-        assert ratio_at_threshold(two_layer_seq, 0, 0.7) == scan_ratio_oracle(
-            two_layer_seq.cumulative[0], 0.7
-        )
-
-    def test_zero_threshold_is_empty_prefix(self, two_layer_seq):
-        assert ratio_at_threshold(two_layer_seq, 0, 0.0) == 0.0
-
-    def test_full_threshold_needs_full_prefix(self, two_layer_seq):
-        assert ratio_at_threshold(two_layer_seq, 0, 1.0) == 1.0
-
-    def test_matches_oracle_on_random_inputs(self, two_layer_seq):
-        rng = np.random.default_rng(4)
-        for p in rng.uniform(0, 1, 50):
-            for layer in (0, 1):
-                assert ratio_at_threshold(two_layer_seq, layer, float(p)) == scan_ratio_oracle(
-                    two_layer_seq.cumulative[layer], p
-                )
-
-    def test_layer_out_of_range(self, two_layer_seq):
-        with pytest.raises(IndexError):
-            ratio_at_threshold(two_layer_seq, 2, 0.5)
-
-    @pytest.mark.parametrize("layer", [True, 1.0, -1, 2])
-    def test_layer_must_be_an_integer_index(self, two_layer_seq, layer):
-        # True used to read layer 1, and -1 or 2 raised a bare IndexError.
-        with pytest.raises(UsageError, match=rf"layer {layer!r} outside \[0, 2\)"):
-            ratio_at_threshold(two_layer_seq, layer, 0.5)
 
 
 class TestBinarySearch:
@@ -715,11 +682,9 @@ def test_a_null_field_reads_as_an_absent_one(two_layer_seq):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda seq: ratio_at_threshold(seq, 0, 1.5), "threshold must be in [0, 1], got 1.5"),
-    (lambda seq: ratio_at_threshold(seq, 0, -0.1), "threshold must be in [0, 1], got -0.1"),
     (lambda seq: estimate_offline([seq], BudgetSpec(r=0.5), method="median"),
      "unknown offline method 'median'"),
-], ids=["threshold-above", "threshold-below", "offline-method"])
+], ids=["offline-method"])
 def test_planning_refuses_arguments_outside_its_domain(two_layer_seq, call, message):
     with pytest.raises(UsageError, match=re.escape(message)):
         call(two_layer_seq)

@@ -308,6 +308,50 @@ class TestDecodeStep:
                 state.set_layer(layer, [0], [0.1])
         assert state.live_positions(0) == list(range(12))
 
+    def test_set_layer_replaces_a_populated_layer(self):
+        # A layer that decoded with merges keeps nothing of what it held:
+        # not its entries, its vectors or the positions merged into them.
+        trace = synth_trace(3, 2, 64, [0.1, 0.5, 2.0], seed=11, with_kv=True)
+        prefix = trace_prefix(trace, 32)
+        profile = compute_importance(prefix)
+        config = plan_online(priority_sequence(profile), BudgetSpec(r=0.4))
+        used = prefill_compress(prefix, config, protect_distance=2, merge_policy="feature",
+                                profile=profile)
+        replay_steps(trace, used, 12)
+        fresh = CacheState(config, profile, protect_distance=2, merge_policy="feature")
+        fresh.current_len = used.current_len
+        rng = np.random.default_rng(3)
+        absorbing = 0
+        for l in range(used.layers):
+            entries = used.layer_caches[l]
+            keep = [e.position for e in entries[::3]]
+            absorbing += sum(bool(e.merged_from) for e in entries[::3])
+            keys, values = rng.standard_normal((2, 2, len(keep), trace.keys.shape[3]))
+            importance = rng.uniform(0.0, 1.0, len(keep))
+            for state in (used, fresh):
+                state.set_layer(l, keep, importance, keys, values)
+        assert absorbing > 0
+
+        def view(state):
+            entries = [[(e.position, e.importance_acc, e.key.tobytes(), e.value.tobytes(),
+                         e.merged_from) for e in state.layer_caches[l]]
+                       for l in range(state.layers)]
+            kv = [np.stack(state.live_kv(l)).tobytes() for l in range(state.layers)]
+            return (entries, kv, [state.capacity(l) for l in range(state.layers)],
+                    retained_info(state, profile).tolist())
+
+        assert view(used) == view(fresh)
+        logged = len(used.step_log)
+        for state in (used, fresh):
+            replay_steps(trace, state, 20)
+        later = [{k: v for k, v in record.items() if k != "step"}
+                 for record in used.step_log[logged:]]
+        assert later == [{k: v for k, v in record.items() if k != "step"}
+                         for record in fresh.step_log]
+        assert any(event["merged_into"] is not None for record in later
+                   for event in record["evicted"])
+        assert view(used) == view(fresh)
+
     @pytest.mark.parametrize("arrays, message", [
         (([0, 1], [0.1]), "importance must have one value per position"),
         (([0], [0.1], np.ones((1, 1, 2))), "pass both keys and values, or neither"),

@@ -854,6 +854,34 @@ class TestOneImportancePass:
         assert len(calls) == 2
 
 
+@pytest.mark.parametrize("inputs, calls", [
+    (["--budgets", "0.3,0.6", "--merge", "none,position", "--steps", "6", "t1.json"], 16),
+    (["--budgets", "0.2,0.4,0.6", "--merge", "none,feature", "--toy-seed", "4",
+      "--toy-layers", "2", "--toy-heads", "2", "--toy-dim", "16", "--prompt-len", "12",
+      "--decode-len", "3", "--runs", "2"], 48),
+], ids=["trace", "toy"])
+def test_compare_computes_one_retained_info_per_cell(tmp_path, monkeypatch, inputs, calls):
+    # A cell reads its retained info once; steps it replays or decodes, and
+    # the toy full-cache references, log none that nothing would read.
+    import kvbudget.cachesim
+    import kvbudget.cli
+
+    assert run(["synth", "--layers", "2", "--heads", "2", "--seq", "30", "--kv",
+                "--seed", "1", "--out", "t1.json"], tmp_path) == 0
+    counted = []
+    original = kvbudget.cachesim.retained_info
+
+    def counting(state, profile):
+        counted.append(profile)
+        return original(state, profile)
+
+    for module in (kvbudget.cli, kvbudget.cachesim):
+        monkeypatch.setattr(module, "retained_info", counting)
+    assert run(["compare", *inputs], tmp_path) == 0
+    # budgets x 4 policies x merge modes x inputs
+    assert len(counted) == calls
+
+
 @pytest.mark.parametrize("inputs", [["--steps", "4", "t1.json", "t2.json"],
                                     ["--toy-seed", "4", "--toy-layers", "2", "--toy-heads", "2",
                                      "--toy-dim", "16", "--prompt-len", "12", "--decode-len", "3",
