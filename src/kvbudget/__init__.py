@@ -25,7 +25,6 @@ from .cachesim import (
     CacheState,
     disturbance,
     full_cache_state,
-    merge,
     prefill_compress,
     replay_steps,
     retained_info,
@@ -96,7 +95,6 @@ __all__ = [
     "layer_stats",
     "load_config",
     "load_trace",
-    "merge",
     "plan_online",
     "prefill_compress",
     "priority_sequence",

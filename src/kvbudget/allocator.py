@@ -380,12 +380,9 @@ def baseline_config(
     if kind == "uniform":
         raw = np.full(L, budget.r)
     elif kind == "pyramid":
-        if L == 1:
-            raw = np.full(1, budget.r)
-        else:
-            amplitude = min(budget.r, 1.0 - budget.r) / 2.0
-            position = np.arange(L) / (L - 1)
-            raw = budget.r + amplitude * (1.0 - 2.0 * position)
+        amplitude = min(budget.r, 1.0 - budget.r) / 2.0
+        position = np.arange(L) / max(L - 1, 1)
+        raw = budget.r + amplitude * (1.0 - 2.0 * position)
     elif kind == "local":
         if not _is_int(sink_count) or sink_count < 0:
             raise UsageError("local policy requires a nonnegative sink_count")

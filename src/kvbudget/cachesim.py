@@ -48,8 +48,7 @@ class CacheEntry:
     ``merged_from`` lists positions whose vectors were absorbed here;
     ``key``/``value`` are then flat averages over this entry's original
     vectors and every absorbed one, shape (H, d) when present.
-    ``merge`` updates these in place; ``CacheState.layer_caches`` hands
-    out copies of its arrays in this form.
+    ``CacheState.layer_caches`` hands out copies of its arrays in this form.
     """
 
     position: int
@@ -416,28 +415,34 @@ class CacheState:
             gone_kv = kv[:, :, i].copy()
             kv[:, :, i:n - 1] = kv[:, :, i + 1:n]
         absorbed = self._merged[layer].pop(gone, ())
-        if self.merge_policy == "none" or n == 1:
+        if self.merge_policy == "none":
             self.hard_evicted[layer].append(gone)
             return {"layer": layer, "pos": gone, "merged_into": None}
         return {"layer": layer, "pos": gone,
-                "merged_into": self._absorb(layer, gone, absorbed, gone_kv)}
+                "merged_into": merge(self, layer, gone, absorbed, gone_kv)}
 
-    def _absorb(self, layer: int, position: int, absorbed: tuple[int, ...], kv) -> int:
-        """Merge a removed entry into its best match; returns the winner's position."""
-        n = int(self._n[layer])
-        live = self._pos[layer, :n]
-        block = self._kv[layer]
-        merged = self._merged[layer]
-        if block is None:
-            w = _match(self.merge_policy, position, None, live, None)
-        else:
-            w = _match(self.merge_policy, position, kv[0], live, block[0, :, :n])
-        winner = int(live[w])
-        held = merged.get(winner, ())
-        if block is not None:
-            block[:, :, w] = _flat_mean(block[:, :, w], 1 + len(held), kv, 1 + len(absorbed))
-        merged[winner] = held + (position,) + absorbed
-        return winner
+
+def merge(state: CacheState, layer: int, position: int, absorbed: tuple[int, ...], kv) -> int:
+    """Merge a removed entry into its best match; returns the winner's position.
+
+    The decode kernel's merge step, called by ``CacheState._evict`` once
+    per merge through this module-level name, so a wrapper installed on
+    the module sees every merge. Not part of the package API.
+    """
+    n = int(state._n[layer])
+    live = state._pos[layer, :n]
+    block = state._kv[layer]
+    merged = state._merged[layer]
+    if block is None:
+        w = _match(state.merge_policy, position, None, live, None)
+    else:
+        w = _match(state.merge_policy, position, kv[0], live, block[0, :, :n])
+    winner = int(live[w])
+    held = merged.get(winner, ())
+    if block is not None:
+        block[:, :, w] = _flat_mean(block[:, :, w], 1 + len(held), kv, 1 + len(absorbed))
+    merged[winner] = held + (position,) + absorbed
+    return winner
 
 
 def prefill_compress(
@@ -541,38 +546,6 @@ def _flat_mean(mine: np.ndarray, mine_count: int, other: np.ndarray, other_count
     """Weights count the original vectors each side already averages over,
     so the result stays a flat mean over all absorbed originals."""
     return (mine * mine_count + other * other_count) / (mine_count + other_count)
-
-
-def merge(policy: str, evictee: CacheEntry, retained: list[CacheEntry]) -> CacheEntry:
-    """Fold an evicted entry into its best-matching retained entry.
-
-    Matching maximizes ``-|m - n|`` (position policy) or the cosine
-    similarity of key vectors (feature policy), ties going to the lower
-    retained position. The winner's key and value become flat averages
-    over its own original vectors and everything absorbed so far, with
-    the absorbed positions recorded in ``merged_from``. This is the
-    entry-object form of the match and update ``CacheState.decode_step``
-    applies to its arrays.
-    """
-    if not retained:
-        raise UsageError("cannot merge into an empty retained set")
-    ordered = sorted(retained, key=lambda entry: entry.position)
-    keys = None
-    if policy == "feature":
-        if evictee.key is None or any(entry.key is None for entry in ordered):
-            raise MismatchError("feature merging requires key vectors on every entry")
-        keys = np.stack([entry.key for entry in ordered], axis=1)
-    positions = np.array([entry.position for entry in ordered], dtype=np.int64)
-    winner = ordered[_match(policy, evictee.position, evictee.key, positions, keys)]
-
-    w_count = 1 + len(winner.merged_from)
-    e_count = 1 + len(evictee.merged_from)
-    if winner.key is not None and evictee.key is not None:
-        winner.key = _flat_mean(winner.key, w_count, evictee.key, e_count)
-        winner.value = _flat_mean(winner.value, w_count, evictee.value, e_count)
-    winner.merged_from.append(evictee.position)
-    winner.merged_from.extend(evictee.merged_from)
-    return winner
 
 
 def retained_info(state: CacheState, profile: ImportanceProfile) -> np.ndarray:

@@ -108,7 +108,7 @@ def _forward(model: ToyModel, ids: np.ndarray):
         logits = model.logit_gains[l] * (q @ k.transpose(0, 2, 1)) / np.sqrt(hd)
         logits = np.where(mask, logits, -np.inf)
         logits -= logits.max(axis=-1, keepdims=True)
-        weights = np.where(mask, np.exp(logits), 0.0)
+        weights = np.exp(logits)
         weights /= weights.sum(axis=-1, keepdims=True)
         attention[l] = weights
         keys[l] = k

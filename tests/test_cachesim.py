@@ -5,7 +5,6 @@ import pytest
 
 from kvbudget import (
     BudgetSpec,
-    CacheEntry,
     CacheState,
     MismatchError,
     UsageError,
@@ -16,7 +15,6 @@ from kvbudget import (
     disturbance,
     forward_trace,
     full_cache_state,
-    merge,
     plan_online,
     prefill_compress,
     priority_sequence,
@@ -26,6 +24,7 @@ from kvbudget import (
     trace_prefix,
     ToyModel,
 )
+from kvbudget import cachesim
 
 from conftest import full_trace, shortcut_trace
 
@@ -403,88 +402,93 @@ class TestDecodeStep:
     def test_feature_merge_exact_tie_goes_to_lower_position(self):
         # Positions 0 and 5 hold bit-identical keys, so their cosine scores
         # against the evictee must tie exactly and the lower position wins.
+        # Under position merging, 2 and 4 tie at distance 1 from the evictee.
         rng = np.random.default_rng(3)
         keys = rng.standard_normal((2, 7, 7))
         keys[:, 5] = keys[:, 0]
         keys[:, 3] = keys[:, 0] + 0.01 * rng.standard_normal((2, 7))
-        state = make_state([0.9, 0.8, 0.7, 0.05, 0.6, 0.5, 0.4], range(7), current_len=8,
-                           capacity_n=7, merge_policy="feature", keys=keys)
         new = rng.standard_normal((2, 7))
-        record = state.decode_step([np.full((2, 8), 1.0 / 8)], [(new, new)])
-        assert record["evicted"] == [{"layer": 0, "pos": 3, "merged_into": 0}]
-        assert state.layer_caches[0][0].merged_from == [3]
+        for policy, winner in (("feature", 0), ("position", 2)):
+            state = make_state([0.9, 0.8, 0.7, 0.05, 0.6, 0.5, 0.4], range(7), current_len=8,
+                               capacity_n=7, merge_policy=policy, keys=keys)
+            record = state.decode_step([np.full((2, 8), 1.0 / 8)], [(new, new)])
+            assert record["evicted"] == [{"layer": 0, "pos": 3, "merged_into": winner}]
+            entries = state.layer_caches[0]
+            assert entries[state.live_positions(0).index(winner)].merged_from == [3]
+
+
+def merge_step(state, new_key=None):
+    """One decode step over uniform rows; ``new_key`` is the new token's key and value."""
+    n = len(state.live_positions(0)) + 1
+    kv = None if new_key is None else [(np.array(new_key), np.array(new_key))]
+    return state.decode_step([np.full((1, n), 1.0 / n)], kv)["evicted"]
 
 
 class TestMerge:
+    """The kernel's merge step, each case one decode step that evicts the chosen entries.
+
+    Capacity stays at ``capacity_n`` and ``protect=1`` shields only the
+    new token, so the lowest-importance older entries go, in that order.
+    """
+
     def test_feature_cosine_example(self):
-        evictee = CacheEntry(position=5, importance_acc=0.1,
-                             key=np.array([[0.9, 0.1]]), value=np.array([[0.9, 0.1]]))
-        retained = [
-            CacheEntry(position=1, importance_acc=1.0,
-                       key=np.array([[1.0, 0.0]]), value=np.array([[1.0, 0.0]])),
-            CacheEntry(position=2, importance_acc=1.0,
-                       key=np.array([[0.0, 1.0]]), value=np.array([[0.0, 1.0]])),
-        ]
-        winner = merge("feature", evictee, retained)
-        assert winner.position == 1
-        assert np.allclose(winner.key, [[0.95, 0.05]])
-        assert winner.merged_from == [5]
+        state = make_state([1.0, 1.0, 0.1], [1, 2, 5], current_len=6, capacity_n=3,
+                           protect=1, merge_policy="feature",
+                           keys=[[[1.0, 0.0], [0.0, 1.0], [0.9, 0.1]]])
+        assert merge_step(state, [[-1.0, 0.0]]) == [{"layer": 0, "pos": 5, "merged_into": 1}]
+        keys, values = state.live_kv(0)
+        assert np.allclose(keys[:, 0], [[0.95, 0.05]]) and np.allclose(values[:, 0], [[0.95, 0.05]])
+        assert state.layer_caches[0][0].merged_from == [5]
 
     def test_position_distance_example(self):
-        evictee = CacheEntry(position=7, importance_acc=0.1)
-        retained = [CacheEntry(position=2, importance_acc=1.0),
-                    CacheEntry(position=9, importance_acc=1.0)]
-        winner = merge("position", evictee, retained)
-        assert winner.position == 9
+        # The new token, position 10, is farther from 7 than 9 is.
+        state = make_state([1.0, 0.1, 1.0], [2, 7, 9], current_len=10, capacity_n=3,
+                           protect=1, merge_policy="position")
+        assert merge_step(state) == [{"layer": 0, "pos": 7, "merged_into": 9}]
+        assert state.live_positions(0) == [2, 9, 10]
+        assert state.layer_caches[0][1].merged_from == [7]
 
     def test_single_retained_entry(self):
-        evictee = CacheEntry(position=3, importance_acc=0.0,
-                             key=np.array([[1.0, 1.0]]), value=np.array([[1.0, 1.0]]))
-        only = CacheEntry(position=0, importance_acc=0.0,
-                          key=np.array([[3.0, 1.0]]), value=np.array([[3.0, 1.0]]))
-        winner = merge("feature", evictee, [only])
-        assert winner is only
-        assert np.allclose(winner.key, [[2.0, 1.0]])
+        # Evicting the only older entry leaves the new token as its one match.
+        state = make_state([0.0], [3], current_len=4, capacity_n=1, protect=1,
+                           merge_policy="feature", keys=[[[1.0, 1.0]]])
+        assert merge_step(state, [[3.0, 1.0]]) == [{"layer": 0, "pos": 3, "merged_into": 4}]
+        keys, values = state.live_kv(0)
+        assert np.allclose(keys, [[[2.0, 1.0]]]) and np.allclose(values, [[[2.0, 1.0]]])
+        assert state.layer_caches[0][0].merged_from == [3]
 
     def test_running_average_over_chain(self):
-        # Absorbing v1 then v2 must yield the flat mean of all three
+        # Absorbing 1 then 3 into 2 must yield the flat mean of all three
         # original vectors, not a mean of means.
-        base = CacheEntry(position=0, importance_acc=0.0,
-                          key=np.array([[0.0, 0.0]]), value=np.array([[0.0, 0.0]]))
-        v1 = CacheEntry(position=1, importance_acc=0.0,
-                        key=np.array([[3.0, 0.0]]), value=np.array([[3.0, 0.0]]))
-        v2 = CacheEntry(position=2, importance_acc=0.0,
-                        key=np.array([[0.0, 6.0]]), value=np.array([[0.0, 6.0]]))
-        merge("position", v1, [base])
-        merge("position", v2, [base])
-        assert np.allclose(base.key, [[1.0, 2.0]])
-        assert sorted(base.merged_from) == [1, 2]
+        state = make_state([0.1, 1.0, 0.2], [1, 2, 3], current_len=6, capacity_n=2,
+                           protect=1, merge_policy="position",
+                           keys=[[[3.0, 0.0], [0.0, 0.0], [0.0, 6.0]]])
+        assert merge_step(state, [[5.0, 5.0]]) == [
+            {"layer": 0, "pos": 1, "merged_into": 2}, {"layer": 0, "pos": 3, "merged_into": 2}]
+        keys, values = state.live_kv(0)
+        assert np.allclose(keys[:, 0], [[1.0, 2.0]]) and np.allclose(values[:, 0], [[1.0, 2.0]])
+        assert sorted(state.layer_caches[0][0].merged_from) == [1, 3]
 
     def test_absorbed_sets_transfer(self):
-        a = CacheEntry(position=0, importance_acc=0.0,
-                       key=np.array([[2.0]]), value=np.array([[2.0]]))
-        b = CacheEntry(position=1, importance_acc=0.0,
-                       key=np.array([[4.0]]), value=np.array([[4.0]]),
-                       merged_from=[7, 8])
-        merge("position", b, [a])
-        # b's key already averages three originals, so weights are 1 and 3.
-        assert np.allclose(a.key, [[(2.0 + 3 * 4.0) / 4]])
-        assert sorted(a.merged_from) == [1, 7, 8]
+        # 3 merges into 2, then 2 goes with its absorbed 3 into 0: 2's
+        # vector already averages two originals, so weights are 1 and 2.
+        state = make_state([1.0, 0.2, 0.1], [0, 2, 3], current_len=6, capacity_n=2,
+                           protect=1, merge_policy="position", keys=[[[2.0], [4.0], [10.0]]])
+        assert merge_step(state, [[0.0]]) == [
+            {"layer": 0, "pos": 3, "merged_into": 2}, {"layer": 0, "pos": 2, "merged_into": 0}]
+        keys, values = state.live_kv(0)
+        assert np.allclose(keys[:, 0], [[(2.0 + 4.0 + 10.0) / 3]])
+        assert np.allclose(values[:, 0], [[(2.0 + 4.0 + 10.0) / 3]])
+        assert sorted(state.layer_caches[0][0].merged_from) == [2, 3]
 
     def test_tie_breaks_to_lower_position(self):
-        evictee = CacheEntry(position=5, importance_acc=0.0)
-        retained = [CacheEntry(position=7, importance_acc=0.0),
-                    CacheEntry(position=3, importance_acc=0.0)]
-        assert merge("position", evictee, retained).position == 3
-
-    def test_feature_requires_keys(self):
-        evictee = CacheEntry(position=1, importance_acc=0.0)
-        with pytest.raises(MismatchError, match="key vectors"):
-            merge("feature", evictee, [CacheEntry(position=0, importance_acc=0.0)])
-
-    def test_empty_retained_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            merge("position", CacheEntry(position=1, importance_acc=0.0), [])
+        # 3 and 7 are both two positions from the evictee 5; the new token,
+        # position 8, is three away, so the lower of the tied pair wins.
+        state = make_state([1.0, 0.1, 1.0], [3, 5, 7], current_len=8, capacity_n=3,
+                           protect=1, merge_policy="position")
+        assert merge_step(state) == [{"layer": 0, "pos": 5, "merged_into": 3}]
+        assert state.live_positions(0) == [3, 7, 8]
+        assert state.layer_caches[0][0].merged_from == [5]
 
 
 class TestRetainedInfo:
@@ -694,6 +698,26 @@ class TestReplay:
                 list(range(56))
             with pytest.raises(MismatchError, match="no key/value vectors"):
                 state.live_kv(l)
+
+    @pytest.mark.parametrize("mode", ["position", "feature"])
+    def test_module_level_merge_sees_every_kernel_merge(self, monkeypatch, mode):
+        # A benchmark times merging by replacing the module's global ``merge``.
+        calls = []
+        original = cachesim.merge
+
+        def counted(*args):
+            calls.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(cachesim, "merge", counted)
+        trace = self._trace(seed=9, n=56)
+        prefix = trace_prefix(trace, 40)
+        config = plan_online(priority_sequence(compute_importance(prefix)), BudgetSpec(r=0.3))
+        state = prefill_compress(prefix, config, protect_distance=4, merge_policy=mode)
+        replay_steps(trace, state, 16)
+        merged = [ev["pos"] for rec in state.step_log for ev in rec["evicted"]
+                  if ev["merged_into"] is not None]
+        assert merged and calls == merged
 
     def test_row_without_mass_on_the_live_cache_rejected(self):
         # Prefill keeps position 1 only; row 3 puts all its mass on position 0.
