@@ -531,14 +531,12 @@ def _match(policy: str, position: int, key, positions: np.ndarray, keys) -> int:
     """
     if policy == "position":
         scores = -np.abs(positions - position)
-    elif policy == "feature":
+    else:
         dots = np.einsum("hnd,hd->n", keys, key)
         norms = np.sqrt(np.einsum("hnd,hnd->n", keys, keys))
         denom = np.sqrt(np.einsum("hd,hd->", key, key)) * norms
         scores = np.full(len(positions), -np.inf)
         np.divide(dots, denom, out=scores, where=denom > 0)
-    else:
-        raise UsageError(f"unknown merge policy {policy!r}")
     return int(scores.argmax())
 
 

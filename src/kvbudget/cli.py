@@ -431,15 +431,21 @@ def run_compare(args: argparse.Namespace) -> list[str]:
         runs = [_trace_run(load_trace(p), args.steps) for p in args.traces]
         references = [None] * len(runs)
 
-    rows = []
+    rows, done = [], {}
     for r in budgets:
         budget = _budget_from_args(args, r)
         for policy in policies:
             # A plan does not depend on the merge mode, so every mode shares it.
             configs = [run.plan(policy, budget, args.sink) for run in runs]
             for mode in merges:
-                cells = [_compare_cell(run, reference, config, args, mode)
-                         for run, reference, config in zip(runs, references, configs)]
+                cells = []
+                for i, (run, reference, config) in enumerate(zip(runs, references, configs)):
+                    # All that a cell reads of its plan: cells that agree on it are equal.
+                    key = (i, mode, config.budget, config.sink_count,
+                           config.token_counts.tobytes())
+                    if key not in done:
+                        done[key] = _compare_cell(run, reference, config, args, mode)
+                    cells.append(done[key])
                 rows.append([r, policy, mode,
                              *(float(np.mean(column)) for column in zip(*cells))])
 

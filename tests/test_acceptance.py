@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict
 lines; every criterion asserts at its stated tolerance.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -389,3 +391,27 @@ def test_10_trivial_budget_identity():
                       prefill_compress(toy_trace, full_config))
     ok &= bool(np.all(mae == 0.0))
     report(10, ok, "no evictions, retained 1.0, identical decode, MAE exactly 0")
+
+
+def test_11_max_min_optimality():
+    """prefixkv's min-layer share is the best of every count vector on the exact budget."""
+    rng = np.random.default_rng(2412)
+    done = fails = 0
+    while done < 1000:
+        L, N = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+        floor = int(rng.integers(2))
+        r = float(rng.choice(BUDGET_GRID))
+        total = round(r * L * N)
+        if total < L * floor:
+            continue
+        seq = seq_from_importance(rng.pareto(1.2, (L, N)))
+        # shares[l, c]: the share a layer keeps with its c most important tokens.
+        shares = np.hstack([np.zeros((L, 1)), seq.cumulative])
+        vectors = np.array(list(itertools.product(range(floor, N + 1), repeat=L)))
+        vectors = vectors[vectors.sum(axis=1) == total]
+        best = shares[np.arange(L), vectors].min(axis=1).max()
+        counts = plan_online(seq, BudgetSpec(r=r, min_tokens_per_layer=floor)).token_counts
+        if shares[np.arange(L), counts].min() != best:
+            fails += 1
+        done += 1
+    report(11, fails == 0, f"1000 instances, {fails} below the exhaustive max-min share")

@@ -381,6 +381,26 @@ class TestFinalize:
             assert np.all(oracle >= previous)
             previous = oracle
 
+    def test_counts_ignore_the_recorded_threshold(self):
+        # p only places the window of prices the global prefix ranks, so the
+        # empty prefix (p=0), the searched p and the full one (p=1) agree.
+        rng = np.random.default_rng(404)
+        checked = 0
+        for _ in range(300):
+            L, N, floor = int(rng.integers(1, 7)), int(rng.integers(1, 60)), int(rng.integers(2))
+            seq = seq_from_importance(rng.pareto(1.2, (L, N)))
+            for r in (0.1, 0.3, 0.5, 0.7, 0.9):
+                budget = BudgetSpec(r=r, min_tokens_per_layer=floor)
+                if round(r * L * N) < L * floor:
+                    continue
+                result = binary_search(seq, budget)
+                counts = {tuple(finalize_config(seq, dataclasses.replace(result, p=p),
+                                                budget).token_counts.tolist())
+                          for p in (0.0, result.p, 1.0)}
+                assert len(counts) == 1
+                checked += 1
+        assert checked > 1000
+
     def test_matches_threshold_scan_on_small_instances(self):
         rng = np.random.default_rng(20240809)
         done = 0

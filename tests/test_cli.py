@@ -854,15 +854,31 @@ class TestOneImportancePass:
         assert len(calls) == 2
 
 
-@pytest.mark.parametrize("inputs, calls", [
-    (["--budgets", "0.3,0.6", "--merge", "none,position", "--steps", "6", "t1.json"], 16),
-    (["--budgets", "0.2,0.4,0.6", "--merge", "none,feature", "--toy-seed", "4",
-      "--toy-layers", "2", "--toy-heads", "2", "--toy-dim", "16", "--prompt-len", "12",
-      "--decode-len", "3", "--runs", "2"], 48),
+def _record_plans(monkeypatch) -> list:
+    """Each plan a compare makes, as its input and all that a cell reads of it."""
+    import kvbudget.cli
+
+    plans = []
+    original = kvbudget.cli._Run.plan
+
+    def recorded(self, policy, budget, sink):
+        config = original(self, policy, budget, sink)
+        plans.append((id(self), config.budget, config.sink_count, config.token_counts.tobytes()))
+        return config
+
+    monkeypatch.setattr(kvbudget.cli._Run, "plan", recorded)
+    return plans
+
+
+@pytest.mark.parametrize("inputs", [
+    ["--budgets", "0.3,0.6", "--merge", "none,position", "--steps", "6", "t1.json"],
+    ["--budgets", "0.2,0.4,0.6", "--merge", "none,feature", "--toy-seed", "4",
+     "--toy-layers", "2", "--toy-heads", "2", "--toy-dim", "16", "--prompt-len", "12",
+     "--decode-len", "3", "--runs", "2"],
 ], ids=["trace", "toy"])
-def test_compare_computes_one_retained_info_per_cell(tmp_path, monkeypatch, inputs, calls):
-    # A cell reads its retained info once; steps it replays or decodes, and
-    # the toy full-cache references, log none that nothing would read.
+def test_compare_computes_one_retained_info_per_cell(tmp_path, monkeypatch, inputs):
+    # A distinct cell reads its retained info once; steps it replays or
+    # decodes, and the toy full-cache references, log none that nothing would read.
     import kvbudget.cachesim
     import kvbudget.cli
 
@@ -877,9 +893,55 @@ def test_compare_computes_one_retained_info_per_cell(tmp_path, monkeypatch, inpu
 
     for module in (kvbudget.cli, kvbudget.cachesim):
         monkeypatch.setattr(module, "retained_info", counting)
+    plans = _record_plans(monkeypatch)
     assert run(["compare", *inputs], tmp_path) == 0
-    # budgets x 4 policies x merge modes x inputs
-    assert len(counted) == calls
+    # Distinct plans of an input, each under 2 merge modes.
+    assert len(counted) == 2 * len(set(plans))
+
+
+@pytest.mark.parametrize("inputs", [["--steps", "4", "t1.json", "t2.json"],
+                                    ["--toy-seed", "4", "--toy-layers", "2", "--toy-heads", "2",
+                                     "--toy-dim", "16", "--prompt-len", "12", "--decode-len", "3",
+                                     "--runs", "2"]], ids=["trace", "toy"])
+def test_compare_runs_each_distinct_cell_once(tmp_path, monkeypatch, inputs):
+    # uniform is listed twice, and at r=1.0 uniform and prefixkv keep everything.
+    import kvbudget.cli
+
+    for seed in ("1", "2"):
+        assert run(["synth", "--layers", "2", "--heads", "2", "--seq", "30", "--kv",
+                    "--seed", seed, "--out", f"t{seed}.json"], tmp_path) == 0
+    compressed = []
+    original = kvbudget.cli.prefill_compress
+
+    def counting(prefill, config, **kwargs):
+        compressed.append(config)
+        return original(prefill, config, **kwargs)
+
+    monkeypatch.setattr(kvbudget.cli, "prefill_compress", counting)
+    plans = _record_plans(monkeypatch)
+    merges = ["none", "feature"]
+    assert run(["compare", "--budgets", "0.3,1.0", "--policies", "uniform,uniform,prefixkv",
+                "--merge", ",".join(merges), *inputs], tmp_path) == 0
+    assert len(compressed) == len(merges) * len(set(plans))
+
+    rows = read_csv(tmp_path / "compare.csv")
+    # Plans are made per budget, then policy, then input; rows per budget, policy, mode.
+    grid = [tuple(plans[i:i + 2]) for i in range(0, len(plans), 2)]
+    assert len(rows) == len(merges) * len(grid) == 12
+    first = {}
+    for i, row in enumerate(rows):
+        key = (grid[i // len(merges)], row["merge"])
+        values = {k: v for k, v in row.items() if k not in ("budget", "policy")}
+        assert first.setdefault(key, values) == values
+    assert len(first) < len(rows)
+    full = [{k: v for k, v in row.items() if k != "policy"} for row in rows[6:]]
+    assert full[0::2] == [full[0]] * 3 and full[1::2] == [full[1]] * 3
+
+
+def test_compare_refuses_zero_toy_runs(tmp_path, capsys):
+    assert run(["compare", "--toy-seed", "1", "--runs", "0", "--budgets", "0.3"], tmp_path) == 1
+    assert capsys.readouterr().err == "usage error: --runs must be at least 1\n"
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("inputs", [["--steps", "4", "t1.json", "t2.json"],
